@@ -119,10 +119,9 @@ struct LadderRun {
   double wall_s = 0.0;
 };
 
-LadderRun TimedLadderRun(
-    const data::FederatedDataset& dataset, std::size_t shards,
-    ml::PayloadCodec codec, bool reclaim,
-    cloud::AggregatePlane agg_plane = cloud::AggregatePlane::kPartialSum) {
+LadderRun TimedLadderRun(const data::FederatedDataset& dataset,
+                         std::size_t shards, ml::PayloadCodec codec,
+                         bool reclaim) {
   sim::EventLoop loop;
   core::FlExperimentConfig config;
   config.rounds = 2;
@@ -140,8 +139,6 @@ LadderRun TimedLadderRun(
   config.strategy = flow::RealtimeAccumulated{
       {1}, 0.1, flow::kShardWidthInvariantCapacity};
   config.shards = shards;
-  config.decode_plane = flow::DecodePlane::kDecoded;
-  config.aggregate_plane = agg_plane;
   config.payload_codec = codec;
   config.reclaim_payload_blobs = reclaim;
   LadderRun out;
@@ -201,21 +198,6 @@ bool EngineRung(std::size_t n) {
                 shards, run.wall_s, identical ? "yes" : "NO",
                 run.arena_blocks_created, run.arena_blocks_recycled);
   }
-
-  // Aggregate-plane honesty: the rung default above is the partial-sum
-  // plane; rerunning the widest rung on the legacy inline-Add plane must
-  // reproduce the same bits (the cascaded accumulator is order-invariant,
-  // so staging + lane flushes are invisible at the result level).
-  const LadderRun legacy_agg = TimedLadderRun(
-      dataset, 8, ml::PayloadCodec::kFp32, /*reclaim=*/true,
-      cloud::AggregatePlane::kLegacy);
-  RecordOp("ladder_" + rung + "_legacy_agg_shards_8", legacy_agg.wall_s);
-  const bool plane_identical = IdenticalRuns(legacy_agg.result, ref.result);
-  ok = ok && plane_identical;
-  std::printf("%10zu %8s %8zu %10.3f %12s %14zu %14zu  (legacy agg)\n", n,
-              "fp32", std::size_t{8}, legacy_agg.wall_s,
-              plane_identical ? "yes" : "NO", legacy_agg.arena_blocks_created,
-              legacy_agg.arena_blocks_recycled);
 
   // Arena honesty: recycling payload blobs each round must not change the
   // run (no stragglers here: delays are a few seconds vs a 60 s period).

@@ -13,13 +13,17 @@
 // multiple devices.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "baseline/scalability_models.h"
 #include "bench_util.h"
 #include "core/fl_engine.h"
 #include "data/synth_avazu.h"
+#include "ml/fedavg.h"
 #include "sim/event_loop.h"
 
 namespace {
@@ -138,11 +142,14 @@ int main() {
   // --- Measured: sharded fleets (FlExperimentConfig::shards) ---
   // The shard plane partitions a 2000-device fleet into N fleets, each
   // with its own event loop + dispatcher advanced on the worker pool and
-  // merged into one aggregator in (tick time, message id, shard) order. The
-  // bit-identity gate is hard at every width; the wall-clock column is
-  // informational on 1-core machines (multi-core runners see the flow
-  // plane scale with shard count — the merge itself stays serial by
-  // design, so this measures the parallel fraction honestly).
+  // merged into one aggregator in (tick time, message id, shard) order.
+  // Dispatch ticks decode payloads (on the shard workers when sharded);
+  // the aggregation service stages each admitted update in O(1) and
+  // flushes staged updates through per-lane FedAvg partials on the pool,
+  // merged in ascending lane order. The cascaded compensated accumulator
+  // makes the sum order-invariant, so the bit-identity gate against the
+  // unsharded run is hard at every width; the wall-clock column is
+  // informational on 1-core machines.
   bench::PrintHeader(
       "Measured: sharded fleets wall time vs width (bit-identical results)");
   data::SynthConfig fleet_config;
@@ -154,17 +161,15 @@ int main() {
   const auto fleet = data::GenerateSyntheticAvazu(fleet_config);
 
   // Serial-merge profile of the aggregation service, split into the
-  // accumulate kernel (FedAvg Adds / partial-sum flushes) vs admission
-  // bookkeeping (staleness, decode-failure accounting, staging). Read off
-  // the engine BEFORE it is destroyed.
+  // accumulate kernel (flushes) vs admission bookkeeping (staleness,
+  // decode-failure accounting, staging). Read off the engine BEFORE it is
+  // destroyed.
   struct AggProfile {
     std::uint64_t accumulate_ns = 0;
     std::uint64_t bookkeeping_ns = 0;
   };
-  auto timed_sharded = [&](std::size_t shards, flow::DecodePlane plane,
-                           cloud::AggregatePlane agg_plane,
-                           core::FlRunResult* out,
-                           AggProfile* profile = nullptr) {
+  auto timed_sharded = [&](std::size_t shards, core::FlRunResult* out,
+                           AggProfile* profile) {
     using namespace simdc;
     sim::EventLoop loop;
     core::FlExperimentConfig config;
@@ -180,8 +185,6 @@ int main() {
     config.strategy = flow::RealtimeAccumulated{
         {1}, 0.1, flow::kShardWidthInvariantCapacity};
     config.shards = shards;
-    config.decode_plane = plane;
-    config.aggregate_plane = agg_plane;
     // Pin the pool width so ONLY the shard count varies between rows:
     // training parallelism is measured by the previous section, and a
     // per-row pool width would fold it into the shard column.
@@ -190,10 +193,8 @@ int main() {
     core::FlEngine engine(loop, fleet, config);
     *out = engine.Run();
     const auto elapsed = std::chrono::steady_clock::now() - start;
-    if (profile != nullptr) {
-      profile->accumulate_ns = engine.aggregation().serial_accumulate_ns();
-      profile->bookkeeping_ns = engine.aggregation().serial_bookkeeping_ns();
-    }
+    profile->accumulate_ns = engine.aggregation().serial_accumulate_ns();
+    profile->bookkeeping_ns = engine.aggregation().serial_bookkeeping_ns();
     return std::chrono::duration<double>(elapsed).count();
   };
 
@@ -211,136 +212,86 @@ int main() {
     return identical;
   };
 
-  core::FlRunResult unsharded;
-  const double t_one = timed_sharded(1, flow::DecodePlane::kLegacy,
-                                     cloud::AggregatePlane::kLegacy,
-                                     &unsharded);
-  bench::OpTimings::Instance().Record(
-      "fig8_shards_1", static_cast<std::uint64_t>(t_one * 1e9));
-  std::printf("%10s %10s %10s %12s\n", "shards", "wall s", "speedup",
-              "identical");
+  std::printf("%10s %10s %10s %14s %12s\n", "shards", "wall s", "speedup",
+              "accum ms", "identical");
   bench::PrintRule();
-  std::printf("%10zu %10.3f %10s %12s\n", std::size_t{1}, t_one, "1.00x", "-");
+  core::FlRunResult unsharded;
+  AggProfile profile[9] = {};
+  double t_one = 0.0;
   bool sharded_identical = true;
   for (const std::size_t shards :
-       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     core::FlRunResult sharded;
     const double t_n =
-        timed_sharded(shards, flow::DecodePlane::kLegacy,
-                      cloud::AggregatePlane::kLegacy, &sharded);
+        timed_sharded(shards, shards == 1 ? &unsharded : &sharded,
+                      &profile[shards]);
+    const std::string width = std::to_string(shards);
     bench::OpTimings::Instance().Record(
-        "fig8_shards_" + std::to_string(shards),
+        "fig8_partial_shards_" + width,
         static_cast<std::uint64_t>(t_n * 1e9));
+    bench::OpTimings::Instance().Record("fig8_partial_accumulate_w" + width,
+                                        profile[shards].accumulate_ns);
+    bench::OpTimings::Instance().Record("fig8_partial_bookkeeping_w" + width,
+                                        profile[shards].bookkeeping_ns);
+    if (shards == 1) {
+      t_one = t_n;
+      std::printf("%10zu %10.3f %10s %14.3f %12s\n", shards, t_n, "1.00x",
+                  profile[1].accumulate_ns / 1e6, "-");
+      continue;
+    }
     const bool identical = identical_runs(sharded, unsharded);
     sharded_identical = sharded_identical && identical;
-    std::printf("%10zu %10.3f %9.2fx %12s\n", shards, t_n,
-                t_n > 0 ? t_one / t_n : 0.0, identical ? "yes" : "NO");
+    std::printf("%10zu %10.3f %9.2fx %14.3f %12s\n", shards, t_n,
+                t_n > 0 ? t_one / t_n : 0.0, profile[shards].accumulate_ns / 1e6,
+                identical ? "yes" : "NO");
   }
   bench::PrintRule();
   std::printf("Sharded fleets bit-identical to the unsharded run: %s\n",
               sharded_identical ? "REPRODUCED" : "NOT reproduced");
 
-  // --- Measured: decoded payload plane vs the legacy (serial-decode) ---
-  // Same fleet, decode_plane = kDecoded: dispatch ticks fetch + decode
-  // blobs (on shard workers when sharded) and the serial aggregator only
-  // admits + accumulates. The gate is hard bit-identity against the
-  // legacy unsharded reference at every width; wall time shows the serial
-  // fraction shrinking on multi-core machines. On a 1-core container the
-  // decoded rows at shard widths >= 2 run ~25-35% SLOWER than legacy —
-  // moving decode into the pool-advanced region buys nothing without
-  // cores and pays channel buffering + allocator contention — so read the
-  // speedup column as the honest price single-core machines pay for the
-  // multi-core win (see FlExperimentConfig::decode_plane).
-  bench::PrintHeader(
-      "Measured: decoded payload plane vs legacy (bit-identical results)");
-  std::printf("%10s %10s %14s %14s %12s\n", "shards", "wall s", "vs legacy-1",
-              "accum ms", "identical");
-  bench::PrintRule();
-  bool decoded_identical = true;
-  // Serial-accumulate profile of the LEGACY aggregate plane at each width —
-  // the "before" side of the partial-sum comparison below. The decoded rows
-  // are pinned to aggregate_plane = kLegacy so the inline per-message FedAvg
-  // Add (the last serial O(msgs*dim) loop) is what gets timed here.
-  AggProfile legacy_profile[9] = {};
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    core::FlRunResult decoded;
-    AggProfile profile;
-    const double t_n =
-        timed_sharded(shards, flow::DecodePlane::kDecoded,
-                      cloud::AggregatePlane::kLegacy, &decoded, &profile);
-    legacy_profile[shards] = profile;
-    bench::OpTimings::Instance().Record(
-        "fig8_decoded_shards_" + std::to_string(shards),
-        static_cast<std::uint64_t>(t_n * 1e9));
-    bench::OpTimings::Instance().Record(
-        "fig8_serial_accumulate_w" + std::to_string(shards),
-        profile.accumulate_ns);
-    bench::OpTimings::Instance().Record(
-        "fig8_serial_bookkeeping_w" + std::to_string(shards),
-        profile.bookkeeping_ns);
-    const bool identical = identical_runs(decoded, unsharded);
-    decoded_identical = decoded_identical && identical;
-    std::printf("%10zu %10.3f %13.2fx %14.3f %12s\n", shards, t_n,
-                t_n > 0 ? t_one / t_n : 0.0, profile.accumulate_ns / 1e6,
-                identical ? "yes" : "NO");
+  // The "before" side of the accumulate comparison: one serial
+  // FedAvgAggregator::Add per admitted update — the same count of
+  // dim-sized updates the runs above folded, round by round — which is
+  // what the serial side would cost without staging and pooled flushes.
+  std::vector<ml::LrModel> updates;
+  for (std::uint32_t k = 0; k < 64; ++k) {
+    ml::LrModel model(fleet_config.hash_dim);
+    for (std::uint32_t i = 0; i < model.dim(); ++i) {
+      model.weights()[i] = static_cast<float>((i * 131u + k * 977u) % 2003u) *
+                               1e-3f -
+                           1.0f;
+    }
+    model.bias() = static_cast<float>(k) * 0.01f;
+    updates.push_back(std::move(model));
   }
-  bench::PrintRule();
-  std::printf("Decoded plane bit-identical to the legacy plane: %s\n",
-              decoded_identical ? "REPRODUCED" : "NOT reproduced");
-
-  // --- Measured: partial-sum aggregate plane vs the serial merge ---
-  // Same decoded fleet, aggregate_plane = kPartialSum: decoded deliveries
-  // are staged O(1) at admission and flushed through per-lane FedAvg
-  // partials merged in ascending lane order. The cascaded compensated
-  // accumulator makes the result order-invariant, so the gate is hard
-  // bit-identity against the SAME legacy unsharded reference at every
-  // width. The accumulate column is the flush cost that replaces the
-  // legacy inline-Add column above; the >= 2x improvement gate at width 8
-  // is hard only on machines with >= 4 cores (a 1-core container runs the
-  // lanes sequentially and pays staging overhead instead — warn-only).
-  bench::PrintHeader(
-      "Measured: partial-sum aggregate plane (bit-identical results)");
-  std::printf("%10s %10s %14s %14s %12s\n", "shards", "wall s", "vs legacy-1",
-              "accum ms", "identical");
-  bench::PrintRule();
-  bool partial_identical = true;
-  AggProfile partial_profile[9] = {};
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    core::FlRunResult partial;
-    AggProfile profile;
-    const double t_n =
-        timed_sharded(shards, flow::DecodePlane::kDecoded,
-                      cloud::AggregatePlane::kPartialSum, &partial, &profile);
-    partial_profile[shards] = profile;
-    bench::OpTimings::Instance().Record(
-        "fig8_partial_shards_" + std::to_string(shards),
-        static_cast<std::uint64_t>(t_n * 1e9));
-    bench::OpTimings::Instance().Record(
-        "fig8_partial_accumulate_w" + std::to_string(shards),
-        profile.accumulate_ns);
-    bench::OpTimings::Instance().Record(
-        "fig8_partial_bookkeeping_w" + std::to_string(shards),
-        profile.bookkeeping_ns);
-    const bool identical = identical_runs(partial, unsharded);
-    partial_identical = partial_identical && identical;
-    std::printf("%10zu %10.3f %13.2fx %14.3f %12s\n", shards, t_n,
-                t_n > 0 ? t_one / t_n : 0.0, profile.accumulate_ns / 1e6,
-                identical ? "yes" : "NO");
+  ml::FedAvgAggregator serial(fleet_config.hash_dim);
+  std::size_t folded = 0;
+  const auto serial_start = std::chrono::steady_clock::now();
+  for (const core::RoundMetrics& round : unsharded.rounds) {
+    serial.Reset();
+    for (std::size_t c = 0; c < round.clients; ++c, ++folded) {
+      if (!serial.Add(updates[folded % updates.size()], 1 + c % 8).ok()) {
+        std::abort();
+      }
+    }
   }
-  bench::PrintRule();
-  std::printf("Partial-sum plane bit-identical to the legacy plane: %s\n",
-              partial_identical ? "REPRODUCED" : "NOT reproduced");
+  const auto serial_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - serial_start)
+          .count());
+  bench::OpTimings::Instance().Record("fig8_serial_accumulate_ref",
+                                      serial_ns);
   const double accumulate_speedup =
-      partial_profile[8].accumulate_ns > 0
-          ? static_cast<double>(legacy_profile[8].accumulate_ns) /
-                static_cast<double>(partial_profile[8].accumulate_ns)
+      profile[8].accumulate_ns > 0
+          ? static_cast<double>(serial_ns) /
+                static_cast<double>(profile[8].accumulate_ns)
           : 0.0;
   const bool multi_core = std::thread::hardware_concurrency() >= 4;
   const bool accumulate_fast = accumulate_speedup >= 2.0;
-  std::printf("Serial-accumulate speedup at 8 shards: %.2fx (gate: >= 2x, %s"
-              " on %u-core)\n",
+  std::printf("Serial reference accumulate: %zu updates in %.3f ms\n",
+              folded, serial_ns / 1e6);
+  std::printf("Accumulate speedup at 8 shards vs serial reference: %.2fx "
+              "(gate: >= 2x, %s on %u-core)\n",
               accumulate_speedup, multi_core ? "hard" : "warn-only",
               std::thread::hardware_concurrency());
   if (!accumulate_fast && !multi_core) {
@@ -436,7 +387,6 @@ int main() {
 
   bench::EmitOpTimings();
   return shape_ok && deterministic && sharded_identical &&
-                 decoded_identical && partial_identical &&
                  (accumulate_fast || !multi_core) && durable_identical &&
                  durable_fast
              ? 0

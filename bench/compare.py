@@ -13,8 +13,10 @@ Guards against noise and apples-to-oranges comparisons:
   * ops whose baseline total_ns is below --min-total-ns (default 1 ms) are
     informational only — their timings are dominated by clock granularity;
   * with --warn-only-on-cpu-mismatch, regressions only warn (exit 0) when
-    the two artifact sets were produced on different CPU models or build
-    types, since absolute nanoseconds are not comparable across machines.
+    the two artifact sets were produced on different CPU models, core
+    counts ("nproc") or build types, since absolute nanoseconds are not
+    comparable across machines. An artifact without an "nproc" stamp is
+    never comparable: its core count is unknown.
 
 Memory is compared too: each artifact's "rss" map (peak-RSS snapshots and
 bytes-per-device figures from `OPRSS` lines) is diffed by label, and growth
@@ -65,8 +67,8 @@ def main():
                              "warnings never fail the run)")
     parser.add_argument("--warn-only-on-cpu-mismatch", action="store_true",
                         help="exit 0 despite regressions when baseline and "
-                             "current ran on different CPU models or build "
-                             "types")
+                             "current ran on different CPU models, core "
+                             "counts or build types")
     parser.add_argument("--fail-on-missing", action="store_true",
                         help="also fail when a baseline op or bench is "
                              "absent from the current run (default: loud "
@@ -94,14 +96,19 @@ def main():
     def environment(docs):
         cpus = {d.get("cpu_model", "unknown") for d in docs.values()}
         builds = {d.get("build_type", "unknown") for d in docs.values()}
-        return cpus, builds
+        nprocs = {d.get("nproc") for d in docs.values()}
+        return cpus, builds, nprocs
 
-    base_cpus, base_builds = environment(baseline)
-    cur_cpus, cur_builds = environment(current)
-    comparable = base_cpus == cur_cpus and base_builds == cur_builds
+    base_cpus, base_builds, base_nprocs = environment(baseline)
+    cur_cpus, cur_builds, cur_nprocs = environment(current)
+    comparable = (base_cpus == cur_cpus and base_builds == cur_builds and
+                  base_nprocs == cur_nprocs and None not in base_nprocs)
     if not comparable:
+        def cores(nprocs):
+            return sorted("missing" if n is None else str(n) for n in nprocs)
         print(f"note: environments differ (baseline cpu={sorted(base_cpus)} "
-              f"build={sorted(base_builds)}; current cpu={sorted(cur_cpus)} "
+              f"nproc={cores(base_nprocs)} build={sorted(base_builds)}; "
+              f"current cpu={sorted(cur_cpus)} nproc={cores(cur_nprocs)} "
               f"build={sorted(cur_builds)}); absolute timings are not "
               f"directly comparable")
 

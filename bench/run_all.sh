@@ -9,14 +9,14 @@
 # one BENCH_<name>.json artifact per bench to the repo root:
 #
 #   { "bench": "...", "wall_ms": ..., "exit_code": ..., "commit": "...",
-#     "cpu_model": "...", "ops": {"<op>": {"calls": ..., "total_ns": ...,
-#     "ns_per_call": ...}}, "rss": {"<label>": {"peak_rss_bytes": ...}},
-#     "stdout": [...] }
+#     "cpu_model": "...", "nproc": ..., "compiler": "...",
+#     "ops": {"<op>": {"calls": ..., "total_ns": ..., "ns_per_call": ...}},
+#     "rss": {"<label>": {"peak_rss_bytes": ...}}, "stdout": [...] }
 #
 # "ops" is parsed from `OPTIME <op> <calls> <total_ns>` lines and "rss"
 # from `OPRSS <label> <bytes>` lines the benches print (see bench_util.h);
-# the commit and CPU stamps make each artifact attributable to a source
-# revision and a machine. These artifacts are the perf baseline later PRs
+# the commit, CPU, core-count and compiler stamps make each artifact
+# attributable to a source revision, a machine and a toolchain. These artifacts are the perf baseline later PRs
 # are measured against — bench/compare.py diffs two artifact sets, flags
 # per-op regressions and warns on per-label RSS growth.
 #
@@ -69,6 +69,16 @@ if ! git -C "$repo_root" diff --quiet HEAD 2>/dev/null; then
 fi
 cpu_model="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n1)"
 [[ -n "$cpu_model" ]] || cpu_model="$(uname -m)"
+# Core count the benches could use (pool widths and the fig8 accumulate
+# gate depend on it), and the compiler that built the binaries.
+nproc_count="$(nproc 2>/dev/null || echo 0)"
+compiler="unknown"
+if [[ -f "$bin_dir/../CMakeCache.txt" ]]; then
+  cxx="$(sed -n 's/^CMAKE_CXX_COMPILER:[^=]*=//p' "$bin_dir/../CMakeCache.txt")"
+  if [[ -n "$cxx" ]] && "$cxx" --version >/dev/null 2>&1; then
+    compiler="$("$cxx" --version | head -n1)"
+  fi
+fi
 
 for bench in "${benches[@]}"; do
   [[ -f "$bench" && -x "$bench" ]] || continue
@@ -87,7 +97,7 @@ for bench in "${benches[@]}"; do
   tmp="$(mktemp)"
   printf '%s\n' "$stdout" > "$tmp"
   BENCH_NAME="$name" WALL_MS="$wall_ms" EXIT_CODE="$exit_code" BUILD_TYPE="$build_type" \
-  COMMIT="$commit" CPU_MODEL="$cpu_model" \
+  COMMIT="$commit" CPU_MODEL="$cpu_model" NPROC="$nproc_count" COMPILER="$compiler" \
     python3 - "$out_json" "$tmp" <<'PY'
 import json, os, sys
 with open(sys.argv[2]) as f:
@@ -119,6 +129,8 @@ doc = {
     "build_type": os.environ["BUILD_TYPE"],
     "commit": os.environ["COMMIT"],
     "cpu_model": os.environ["CPU_MODEL"],
+    "nproc": int(os.environ["NPROC"]),
+    "compiler": os.environ["COMPILER"],
     "wall_ms": int(os.environ["WALL_MS"]),
     "exit_code": int(os.environ["EXIT_CODE"]),
     "ops": ops,

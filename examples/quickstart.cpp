@@ -87,18 +87,11 @@ int main() {
   // through dispatch runs at infinite capacity here.
   fl.strategy = flow::RealtimeAccumulated{
       {1}, 0.0, flow::kShardWidthInvariantCapacity};
-  fl.shards = 2;
   // Payload blobs are fetched + decoded at dispatch-tick time (on the
-  // shard workers), so the serial aggregator only admits and accumulates;
-  // decoded is the default — spelled out here because it pairs with
-  // shards. flow::DecodePlane::kLegacy decodes serially instead, with
-  // bit-identical results.
-  fl.decode_plane = flow::DecodePlane::kDecoded;
-  // Decoded updates accumulate as per-lane partial sums on the worker
-  // pool, merged in fixed ascending order; partial_sum is the default —
-  // cloud::AggregatePlane::kLegacy runs every add serially instead, with
-  // bit-identical results (the FedAvg cascade is order-invariant).
-  fl.aggregate_plane = cloud::AggregatePlane::kPartialSum;
+  // shard workers), and the serial aggregator stages decoded updates that
+  // accumulate as per-lane partial sums on the worker pool — bit-identical
+  // at any width, since the FedAvg cascade is order-invariant.
+  fl.shards = 2;
   const auto result = platform.RunFlExperiment(dataset, fl);
   std::printf("\nfederated learning (%zu devices, %zu rounds, 2 fleet "
               "shards):\n",

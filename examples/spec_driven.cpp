@@ -53,8 +53,6 @@ backoff_max_s = 30
 [execution]
 parallelism = 2
 shards = 2
-decode_plane = decoded
-aggregate_plane = partial_sum
 round_quorum = 20
 round_deadline_s = 90
 round_extension_s = 30

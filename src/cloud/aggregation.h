@@ -6,27 +6,25 @@
 // aggregation. Common triggers include reaching a threshold of total edge
 // training samples or reaching scheduled times."
 //
-// The service is a DeviceFlow CloudEndpoint: it receives messages,
-// accumulates the referenced model updates into a FedAvg aggregator, and
-// publishes a new global model whenever its trigger fires
-// (sample-threshold — Fig. 9a — or scheduled — Fig. 9b / Fig. 11). On the
-// decoded payload plane (flow::DecodePlane::kDecoded) the blob fetch +
-// decode happened upstream, in parallel, and this serial side is only the
-// staleness verdict, counter bookkeeping and the O(dim) fixed-order
-// accumulate; on the legacy plane it fetches + decodes inline.
+// The service is a DeviceFlow CloudEndpoint: it admits the model updates
+// that messages reference and publishes a new global model whenever its
+// trigger fires (sample-threshold — Fig. 9a — or scheduled — Fig. 9b /
+// Fig. 11). Payload fetch + decode happens before the serial side:
+// dispatch ticks decode through cloud::BlobModelDecoder (on shard workers
+// when fleets are sharded) and deliver flow::DecodedUpdates, and a bare
+// Deliver(message) decodes through the same decoder into the same path.
 //
-// Aggregate plane. On AggregatePlane::kPartialSum (the default) the
-// decoded-plane O(dim) accumulate itself leaves the serial handler: each
-// admitted update is staged as a {shared model, samples} entry in O(1),
-// and staged entries are flushed into per-lane partial FedAvg aggregators
-// on the worker pool, merged in fixed ascending-lane order. Per round the
-// serial side does O(lanes·dim) merge work instead of O(msgs·dim) adds.
-// The FedAvg cascade is order-invariant (see ml/fedavg.h), so lane count,
-// flush timing and slicing are bit-invisible in every published model,
-// counter and snapshot — kLegacy reproduces the pre-plane serial adds
-// unchanged and is pinned by parity tests. Like the decode offload, the
-// knob rides the decoded delivery path only: legacy-decode deliveries
-// accumulate inline on either setting.
+// There is one admission/accumulate path. The serial handler runs the
+// staleness verdict, the deferred failure bookkeeping and the dim check,
+// then stages each admitted update as a {shared model, samples} entry in
+// O(1). Staged entries are flushed into per-lane partial FedAvg
+// aggregators on the worker pool and merged in fixed ascending-lane
+// order, so per round the serial side does O(lanes·dim) merge work
+// instead of O(msgs·dim) adds. The FedAvg cascade is order-invariant (see
+// ml/fedavg.h), so lane count, flush timing and slicing are bit-invisible
+// in every published model, counter and snapshot;
+// tests/reference_aggregation.h replays the delivery stream through one
+// ml::FedAvg per round and pins that.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +33,7 @@
 #include <optional>
 #include <vector>
 
+#include "cloud/payload_decoder.h"
 #include "cloud/storage.h"
 #include "common/clock.h"
 #include "flow/device_flow.h"
@@ -48,19 +47,11 @@ class ThreadPool;
 
 namespace simdc::cloud {
 
-/// Which aggregation plane the decoded delivery path runs
-/// (core::FlExperimentConfig::aggregate_plane; spec: [execution]
-/// aggregate_plane).
-enum class AggregatePlane {
-  /// Admitted updates are staged in O(1) and accumulated into per-lane
-  /// partial aggregators on the worker pool; the serial side merges
-  /// O(lanes·dim) in fixed ascending-lane order. Bit-identical to kLegacy
-  /// (order-invariant cascade, see ml/fedavg.h).
-  kPartialSum,
-  /// Every admitted update runs its O(dim) FedAvgAggregator::Add inline in
-  /// the serial delivery handler. Kept as the reference for parity tests.
-  kLegacy,
-};
+/// Single-value remnant of the removed aggregate-plane knob: the type of
+/// one inert core::FlExperimentConfig field that nothing reads (the
+/// staged, pooled-flush plane is the only one). Both go with the next
+/// change to the benchmark harness, which still assigns the field.
+enum class AggregatePlane { kPartialSum };
 
 enum class AggregationTrigger {
   /// Aggregate when accumulated training samples reach a threshold.
@@ -96,9 +87,6 @@ struct AggregationConfig {
   /// Per-extension grace (0 = reuse round_deadline).
   SimDuration round_extension = 0;
   std::size_t max_round_extensions = 1;
-  /// Aggregation plane for decoded deliveries (see the file comment).
-  /// Inert on the legacy decode path, which always accumulates inline.
-  AggregatePlane aggregate_plane = AggregatePlane::kPartialSum;
 };
 
 /// One completed aggregation.
@@ -146,7 +134,7 @@ class AggregationService final : public flow::CloudEndpoint {
   AggregationService(sim::EventLoop& loop, BlobStore& storage,
                      AggregationConfig config);
 
-  /// Worker pool for the partial-sum plane's parallel flush. Optional: with
+  /// Worker pool for the parallel flush of staged updates. Optional: with
   /// no pool (or a 1-thread pool) the flush accumulates serially, which is
   /// bit-identical (order-invariant cascade). The pool must outlive the
   /// service; flushes run only while the pool is otherwise idle (dispatch
@@ -163,24 +151,18 @@ class AggregationService final : public flow::CloudEndpoint {
   /// disabled, so drivers can call it unconditionally.
   void OnRoundOpened(SimTime t0);
 
-  /// DeviceFlow delivery (legacy plane): fetch blob, decode model,
-  /// accumulate — all inside this serial handler.
+  /// Single-message delivery: decodes the payload through a
+  /// BlobModelDecoder over this service's storage and admits it exactly
+  /// like a one-update DeliverDecodedBatch.
   void Deliver(const flow::Message& message, SimTime arrival) override;
 
-  /// Batched DeviceFlow delivery: one dispatch tick in a single call. Each
-  /// message is accumulated in order with its own arrival stamp, so
-  /// threshold-triggered aggregations record the same round time the
-  /// per-message path would (the triggering message's arrival).
-  void DeliverBatch(std::span<const flow::Message> messages,
-                    std::span<const SimTime> arrivals) override;
-
-  /// Decoded-plane delivery: payloads were fetched + decoded upstream
-  /// (dispatch ticks, possibly on shard workers), so the serial side is
-  /// only the staleness verdict, counter commits and the O(dim)
-  /// fixed-order accumulate — it never touches BlobStore or FromBytes.
-  /// Counter semantics are bit-identical to the legacy plane: a decode
-  /// failure commits only if the update survives the reject_stale check,
-  /// in delivery order (see flow::DecodedUpdate).
+  /// Decoded delivery: payloads were fetched + decoded upstream (dispatch
+  /// ticks, possibly on shard workers), so the serial side is only the
+  /// staleness verdict, counter commits and O(1) staging — it never
+  /// touches BlobStore or FromBytes. A decode failure commits only if the
+  /// update survives the reject_stale check, in delivery order (see
+  /// flow::DecodedUpdate). Each update keeps its own arrival stamp, so a
+  /// threshold-triggered round records the triggering update's arrival.
   void DeliverDecodedBatch(std::span<const flow::DecodedUpdate> updates,
                            std::span<const SimTime> arrivals) override;
 
@@ -198,8 +180,7 @@ class AggregationService final : public flow::CloudEndpoint {
   /// faults occur.
   std::size_t store_errors() const { return store_errors_; }
   /// Samples/clients admitted to the open round: the aggregator's totals
-  /// plus entries staged but not yet flushed (partial-sum plane). Matches
-  /// the legacy plane's aggregator totals update-for-update.
+  /// plus entries staged but not yet flushed.
   std::size_t pending_samples() const {
     return aggregator_.total_samples() + staged_samples_;
   }
@@ -215,8 +196,8 @@ class AggregationService final : public flow::CloudEndpoint {
   std::size_t aborted_rounds() const { return aborted_rounds_; }
 
   /// Profiling (wall-clock, NOT part of any bit-identity surface): time
-  /// spent in the O(dim) accumulate — inline Adds on the legacy plane,
-  /// flush (lane accumulate + ascending merge) on the partial-sum plane.
+  /// spent in the O(dim) accumulate — flushes (lane accumulate + ascending
+  /// merge).
   std::uint64_t serial_accumulate_ns() const { return serial_accumulate_ns_; }
   /// Batched-delivery handler time minus the accumulate share: admission,
   /// staleness verdicts, counter commits, staging.
@@ -253,20 +234,10 @@ class AggregationService final : public flow::CloudEndpoint {
   /// Deadline-event body: commit (quorum met), extend, or abort.
   void OnDeadline();
   void ArmSchedule();
-  /// Shared delivery body; `arrival` is the message's wire arrival stamp
-  /// (== loop time in the per-message path, possibly ahead of loop time
-  /// inside a batched tick).
-  void DeliverOne(const flow::Message& message, SimTime arrival);
-  /// Decoded-plane delivery body: admit (staleness), commit deferred
-  /// decode failures, accumulate.
+  /// Delivery body: admit (staleness), commit deferred decode failures,
+  /// check the dim, stage in O(1), fire the sample-threshold trigger on
+  /// the combined (flushed + staged) totals, flush at capacity.
   void DeliverDecodedOne(const flow::DecodedUpdate& update, SimTime arrival);
-  /// Shared tail of both delivery bodies: weighted accumulate + the
-  /// sample-threshold trigger.
-  void Accumulate(const ml::LrModel& model, const flow::Message& message,
-                  SimTime arrival);
-  /// Partial-sum plane tail: O(1) admission + staging, threshold check on
-  /// the combined (flushed + staged) totals, capacity-bounded flush.
-  void AccumulateDecoded(const flow::DecodedUpdate& update, SimTime arrival);
   /// Drains staged entries into the aggregator: serially without a pool,
   /// else via per-lane partials on the pool merged in ascending-lane order.
   /// Bit-invisible either way (order-invariant cascade).
@@ -277,7 +248,7 @@ class AggregationService final : public flow::CloudEndpoint {
   /// AggregationRecord::time).
   bool AggregateAt(SimTime when);
 
-  /// One admitted-but-unflushed update on the partial-sum plane.
+  /// One admitted-but-unflushed update.
   struct StagedUpdate {
     std::shared_ptr<const ml::LrModel> model;
     std::size_t samples = 0;
@@ -292,6 +263,8 @@ class AggregationService final : public flow::CloudEndpoint {
   sim::EventLoop& loop_;
   BlobStore& storage_;
   AggregationConfig config_;
+  /// Decoder behind Deliver (stateless; reads storage_).
+  BlobModelDecoder decoder_;
   ml::FedAvgAggregator aggregator_;
   ml::LrModel global_model_;
   std::vector<AggregationRecord> history_;
@@ -310,9 +283,8 @@ class AggregationService final : public flow::CloudEndpoint {
   std::size_t deadline_commits_ = 0;
   std::size_t round_extensions_ = 0;
   std::size_t aborted_rounds_ = 0;
-  /// Partial-sum plane state: staged updates awaiting a flush, their
-  /// running totals (mirroring what the legacy plane's aggregator would
-  /// hold), the reusable per-lane partial aggregators, and the pool.
+  /// Staged updates awaiting a flush, their running totals, the reusable
+  /// per-lane partial aggregators, and the pool.
   std::vector<StagedUpdate> pending_;
   std::size_t staged_samples_ = 0;
   std::size_t staged_clients_ = 0;

@@ -314,33 +314,16 @@ Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
   } else if (has_section && shards.error().code() != ErrorCode::kNotFound) {
     return shards.error();
   }
-  if (auto plane = GetString(doc, "execution", "decode_plane"); plane.ok()) {
-    if (*plane == "decoded") {
-      config.decode_plane = flow::DecodePlane::kDecoded;
-    } else if (*plane == "legacy") {
-      config.decode_plane = flow::DecodePlane::kLegacy;
-    } else {
-      return InvalidArgument(
-          "[execution] decode_plane must be 'decoded' or 'legacy', got '" +
-          *plane + "'");
+  // The payload and aggregation planes each have one implementation now;
+  // a spec that still names a plane is asking for something that is gone.
+  for (const char* plane : {"decode", "aggregate"}) {
+    const std::string key = std::string(plane) + "_plane";
+    if (GetString(doc, "execution", key).ok()) {
+      return InvalidArgument("[execution] " + key +
+                             " was removed: the decoded payload plane and "
+                             "the partial-sum aggregate plane are the only "
+                             "ones; delete the key");
     }
-  } else if (has_section && plane.error().code() != ErrorCode::kNotFound) {
-    return plane.error();
-  }
-  if (auto agg_plane = GetString(doc, "execution", "aggregate_plane");
-      agg_plane.ok()) {
-    if (*agg_plane == "partial_sum") {
-      config.aggregate_plane = cloud::AggregatePlane::kPartialSum;
-    } else if (*agg_plane == "legacy") {
-      config.aggregate_plane = cloud::AggregatePlane::kLegacy;
-    } else {
-      return InvalidArgument(
-          "[execution] aggregate_plane must be 'partial_sum' or 'legacy', "
-          "got '" +
-          *agg_plane + "'");
-    }
-  } else if (has_section && agg_plane.error().code() != ErrorCode::kNotFound) {
-    return agg_plane.error();
   }
   if (auto codec = GetString(doc, "execution", "payload_codec"); codec.ok()) {
     const std::string name = Lower(*codec);

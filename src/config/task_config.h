@@ -45,7 +45,6 @@
 #include "cloud/aggregation.h"
 #include "common/error.h"
 #include "device/behavior.h"
-#include "flow/decoded_update.h"
 #include "flow/device_flow.h"
 #include "flow/strategy.h"
 #include "ml/lr_model.h"
@@ -105,19 +104,6 @@ struct ExecutionConfig {
   /// merged deterministically (FlExperimentConfig::shards semantics;
   /// clamped to the device count by the engine).
   std::size_t shards = 0;
-  /// Payload plane: decoded (default — dispatch ticks fetch + decode
-  /// blobs in parallel, the serial aggregator only accumulates) or legacy
-  /// (decode inside the serial delivery handler; the equivalence-test
-  /// reference). Bit-identical results either way
-  /// (FlExperimentConfig::decode_plane semantics).
-  flow::DecodePlane decode_plane = flow::DecodePlane::kDecoded;
-  /// Aggregation plane of the decoded delivery path: partial_sum (default
-  /// — admitted updates accumulate into per-lane partial FedAvg
-  /// aggregators on the worker pool, merged in fixed ascending order) or
-  /// legacy (every O(dim) add runs inline in the serial handler; the
-  /// parity-test reference). Bit-identical results either way
-  /// (FlExperimentConfig::aggregate_plane semantics).
-  cloud::AggregatePlane aggregate_plane = cloud::AggregatePlane::kPartialSum;
   /// Wire precision for device→cloud update payloads: fp32 (default —
   /// bit-identical to the historical format), fp16 (~2× smaller), or int8
   /// (per-tensor scale, ~4× smaller). Quantized payloads trade a bounded
@@ -149,12 +135,12 @@ struct ExecutionConfig {
 };
 
 /// Reads [execution] (parallelism = N, shards = N,
-/// decode_plane = decoded|legacy, aggregate_plane = partial_sum|legacy,
 /// payload_codec = fp32|fp16|int8,
 /// reclaim_payload_blobs = 0|1, durability = off|log|log+checkpoint,
 /// durability_dir = path, round_quorum = N, round_deadline_s = S,
 /// round_extension_s = S, max_round_extensions = N). A missing section or
-/// key yields the defaults; malformed or negative values are rejected.
+/// key yields the defaults; malformed or negative values are rejected, and
+/// so are the removed {decode,aggregate}_plane keys.
 Result<ExecutionConfig> LoadExecution(const IniDocument& doc);
 
 /// Reads the optional [behavior] section into a device::BehaviorConfig

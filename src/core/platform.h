@@ -94,9 +94,8 @@ class Platform {
   /// fleet shards whose flow planes advance in lockstep on the same pool,
   /// merged deterministically into the one aggregator — still
   /// bit-identical to the single-fleet run (see FlExperimentConfig::shards).
-  /// Payload blobs are decoded at dispatch-tick time (parallel across
-  /// shards) unless `config.decode_plane` selects the legacy serial
-  /// decode — bit-identical either way (FlExperimentConfig::decode_plane).
+  /// Payload blobs are decoded at dispatch-tick time, in parallel across
+  /// shards.
   FlRunResult RunFlExperiment(const data::FederatedDataset& dataset,
                               FlExperimentConfig config);
 

@@ -40,9 +40,8 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
   agg.round_deadline = config_.round_deadline;
   agg.round_extension = config_.round_extension;
   agg.max_round_extensions = config_.max_round_extensions;
-  agg.aggregate_plane = config_.aggregate_plane;
   service_ = std::make_unique<cloud::AggregationService>(loop_, storage_, agg);
-  // The partial-sum flush borrows the training pool; with parallelism 1
+  // The staged-update flush borrows the training pool; with parallelism 1
   // there is no pool and the flush accumulates serially (bit-identical).
   service_->set_thread_pool(pool_);
 
@@ -74,26 +73,21 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
       // then agree across widths on each message's fate.
       shard.dispatcher = std::make_unique<flow::Dispatcher>(
           *shard.loop, config_.task, config_.strategy, &merger_->channel(s),
-          config_.seed, config_.delivery_mode);
+          config_.seed);
       // Split the batch-log cap across fleets so total log memory keeps
       // the single-fleet bound instead of scaling with shard count.
       shard.dispatcher->set_batch_log_cap(
           std::max<std::size_t>(1, flow::kDefaultBatchLogCap / width));
-      if (config_.decode_plane == flow::DecodePlane::kDecoded) {
-        shard.dispatcher->set_decoder(&decoder_);
-      }
+      shard.dispatcher->set_decoder(&decoder_);
       ConfigureLinkPlane(*shard.dispatcher);
       shards_.push_back(std::move(shard));
     }
   } else {
-    const Status configured =
-        flow_.ConfigureTask(config_.task, config_.strategy, service_.get(),
-                            config_.seed, config_.delivery_mode);
+    const Status configured = flow_.ConfigureTask(
+        config_.task, config_.strategy, service_.get(), config_.seed);
     SIMDC_CHECK(configured.ok(),
                 "TaskRuntime: DeviceFlow configuration failed");
-    if (config_.decode_plane == flow::DecodePlane::kDecoded) {
-      flow_.FindDispatcher(config_.task)->set_decoder(&decoder_);
-    }
+    flow_.FindDispatcher(config_.task)->set_decoder(&decoder_);
     ConfigureLinkPlane(*flow_.FindDispatcher(config_.task));
   }
 
@@ -667,9 +661,9 @@ void TaskRuntime::RecordRound(const cloud::AggregationRecord& record,
   PersistRoundBoundary(record);
 
   if (!ShouldStop()) {
-    // Anchor at the aggregation's wire time: equal to Now() when rounds
-    // close inside per-message delivery events, and ahead of Now() when
-    // they close inside a batched tick.
+    // Anchor at the aggregation's wire time: equal to Now() when a round
+    // closes on a tick's first message, and ahead of Now() when it closes
+    // later inside the tick.
     StartRoundFrom(rounds_started_, std::max(loop_.Now(), record.time));
   } else {
     Complete(record.time);

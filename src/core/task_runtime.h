@@ -81,45 +81,11 @@ struct FlExperimentConfig {
   double logical_fraction = 1.0;
   /// DeviceFlow strategy for this task's traffic.
   flow::DispatchStrategy strategy = flow::RealtimeAccumulated{{1}, 0.0};
-  /// Event granularity of the device→cloud message plane: kBatched is
-  /// O(ticks), kPerMessage the O(messages) reference path kept for
-  /// equivalence testing. Results are bit-identical across modes except
-  /// when a kScheduled aggregation tick lands strictly inside a
-  /// multi-message tick's capacity window (see flow::DeliveryMode); with
-  /// single-message ticks (the default pass-through strategy) or
-  /// kSampleThreshold triggers the two modes never diverge. Within one
-  /// mode, results are always deterministic at every parallelism.
-  flow::DeliveryMode delivery_mode = flow::DeliveryMode::kBatched;
-  /// Payload plane of the batched delivery path (spec:
-  /// [execution] decode_plane = decoded | legacy). kDecoded (default)
-  /// fetches + decodes every payload blob at dispatch-tick time — on the
-  /// shard workers when `shards` > 1, so decode parallelizes with the
-  /// flow plane — and the serial AggregationService only admits and
-  /// accumulates; kLegacy decodes inside the serial delivery handler (the
-  /// reference for equivalence tests). Results, counters
-  /// (decode_failures / stale_rejections) and dispatch stats are
-  /// bit-identical across both planes at every shard width: decode draws
-  /// no RNG and failure accounting is deferred to the serial commit
-  /// point in delivery order (flow::DecodedUpdate). kPerMessage delivery
-  /// always runs the legacy plane regardless of this knob. Wall-time
-  /// honesty: the win needs cores — on a single-core machine a sharded
-  /// decoded run pays ~25-35% over kLegacy (channel buffering plus
-  /// allocator/mutex traffic from the pool-advanced decode with no
-  /// parallelism to amortize it; fig8_decoded_shards_* measures this), so
-  /// pin kLegacy for single-core batch farms if wall time there matters.
-  flow::DecodePlane decode_plane = flow::DecodePlane::kDecoded;
-  /// Aggregation plane of the decoded delivery path (spec:
-  /// [execution] aggregate_plane = partial_sum | legacy). kPartialSum
-  /// (default) stages admitted updates in O(1) at the serial side and
-  /// accumulates them into per-lane partial FedAvg aggregators on the
-  /// training pool, merged in fixed ascending-lane order — cutting the
-  /// serial accumulate per round from O(msgs·dim) to O(lanes·dim).
-  /// Bit-identical to kLegacy at every shard width and parallelism: the
-  /// FedAvg cascade is order-invariant (ml/fedavg.h), so regrouping the
-  /// sum is invisible in published models, counters and snapshots.
-  /// kLegacy runs every O(dim) add inline in the delivery handler; the
-  /// knob is inert on decode_plane = kLegacy, which always accumulates
-  /// inline.
+  /// Inert: nothing reads this field. The staged, pooled-flush
+  /// aggregation plane is the only one (see cloud::AggregationService);
+  /// the field and its single-value enum remain only because the
+  /// benchmark harness still assigns them, and both go with the next
+  /// change to that harness.
   cloud::AggregatePlane aggregate_plane = cloud::AggregatePlane::kPartialSum;
   /// Wire precision of device→cloud update payload blobs (spec:
   /// [execution] payload_codec = fp32 | fp16 | int8). kFp32 (default)
@@ -356,8 +322,8 @@ class TaskRuntime {
 
   void StartRound(std::size_t round) { StartRoundFrom(round, loop_.Now()); }
   /// `t0` anchors the round's upload schedule. Threshold-triggered rounds
-  /// pass the aggregation record time, which equals loop time in the
-  /// per-message delivery path and keeps the batched path bit-identical.
+  /// pass the aggregation record time (the crossing message's arrival),
+  /// which can sit ahead of loop time inside a batched tick.
   void StartRoundFrom(std::size_t round, SimTime t0);
   void RecordRound(const cloud::AggregationRecord& record,
                    const ml::LrModel& model);

@@ -14,11 +14,11 @@
 //   1. It runs before the cloud's staleness verdict, so a stale update is
 //      decoded and then discarded. Correctness is unaffected (blobs are
 //      immutable once Put) and the wasted decode is parallel-side work.
-//   2. Its failure accounting is DEFERRED: the legacy path counts a decode
-//      failure only after the reject_stale check and in delivery order, so
-//      a DecodedUpdate carries the error and the serial accumulate point
-//      commits the counter — a stale message with a corrupt blob must
-//      count as a stale rejection, never a decode failure, on both planes.
+//   2. Its failure accounting is DEFERRED: a DecodedUpdate carries the
+//      error, and the serial accumulate point commits it in delivery
+//      order and only after the reject_stale check. A stale message with a
+//      corrupt or missing blob therefore counts as a stale rejection,
+//      never as a decode failure, no matter when or where it was decoded.
 #pragma once
 
 #include <memory>
@@ -28,18 +28,6 @@
 #include "ml/lr_model.h"
 
 namespace simdc::flow {
-
-/// Which payload plane the device→cloud pipeline runs
-/// (core::FlExperimentConfig::decode_plane; spec: [execution] decode_plane).
-enum class DecodePlane {
-  /// Dispatch ticks fetch + decode payload blobs and deliver DecodedUpdates;
-  /// the serial aggregation side never touches storage on the receive path.
-  kDecoded,
-  /// Messages arrive undecoded; the cloud endpoint fetches + decodes inside
-  /// its (serial) delivery handler. Kept as the reference for equivalence
-  /// tests.
-  kLegacy,
-};
 
 /// A device→cloud message whose payload blob has already been fetched and
 /// decoded — or whose fetch/decode failed, with the failure captured for

@@ -41,15 +41,14 @@ void Shelf::TakeInto(std::size_t count, std::vector<Message>& out) {
 
 Dispatcher::Dispatcher(sim::EventLoop& loop, TaskId task,
                        DispatchStrategy strategy, CloudEndpoint* downstream,
-                       std::uint64_t seed, DeliveryMode delivery_mode)
+                       std::uint64_t seed)
     : loop_(loop),
       task_(task),
       strategy_(std::move(strategy)),
       downstream_(downstream),
       rng_(Rng(seed).Split(task.value())),
       drop_seed_(Rng(seed).Split(task.value()).Split("transmission-drop")()),
-      retry_seed_(Rng(seed).Split(task.value()).Split("link-retry")()),
-      delivery_mode_(delivery_mode) {}
+      retry_seed_(Rng(seed).Split(task.value()).Split("link-retry")()) {}
 
 Dispatcher::~Dispatcher() {
   // Pending OnRoundEnd lambdas and retry attempts capture `this`; cancel
@@ -191,7 +190,7 @@ bool Dispatcher::TransmissionDrop(const Message& message,
   if (failure_probability <= 0.0) return false;
   // One uniform in [0, 1) per message, hashed from (drop key, message id)
   // — two SplitMix64 rounds instead of a child-Rng construction, since
-  // this sits on the per-message reference path.
+  // this runs once per message on the dispatch hot path.
   // (HashCombine is the historical two-round SplitMix64 mix, bit for bit.)
   return HashUnit(HashCombine(drop_seed_, message.id.value())) <
          failure_probability;
@@ -215,7 +214,7 @@ Dispatcher::AttemptOutcome Dispatcher::TryAttempt(const Message& message,
   if (p <= 0.0) return AttemptOutcome::kDelivered;
   // Keyed draw: even-numbered sub-keys are failure draws, odd ones jitter
   // (RetryDelay), so the two never alias. Pure in (seed, id, attempt) —
-  // identical at every shard width and in both delivery modes.
+  // identical at every shard width.
   const std::uint64_t draw =
       DeterministicHash(retry_seed_, message.id.value(), attempt * 2);
   return HashUnit(draw) < p ? AttemptOutcome::kTransient
@@ -298,10 +297,6 @@ void Dispatcher::DeliverRetried(Message message, SimTime when) {
     ++stats_.batches_truncated;
   }
   if (downstream_ == nullptr) return;
-  if (delivery_mode_ != DeliveryMode::kBatched) {
-    downstream_->Deliver(message, when);
-    return;
-  }
   const SimTime arrival = when;
   if (decoder_ != nullptr) {
     const DecodedUpdate update = decoder_->Decode(std::move(message));
@@ -363,17 +358,13 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
           ? 0
           : std::max<SimDuration>(1, static_cast<SimDuration>(1e6 / capacity));
 
-  // The batched and per-message paths share this loop verbatim: identical
-  // RNG draw order, identical next_send_time_ arithmetic, identical stats.
-  // They differ only in how the survivors reach the event loop below.
   std::size_t sent = 0;
   std::vector<Message> survivors = tick_pool_->messages.Acquire();
   std::vector<SimTime> arrivals = tick_pool_->arrivals.Acquire();
-  const bool batched =
-      delivery_mode_ == DeliveryMode::kBatched && downstream_ != nullptr;
+  const bool deliver = downstream_ != nullptr;
   const bool link_active = LinkFaultsActive();
   next_send_time_ = std::max(next_send_time_, now);
-  if (batched && failure_probability <= 0.0 && !link_active) {
+  if (deliver && failure_probability <= 0.0 && !link_active) {
     // No transmission-failure draws: the whole batch survives, so adopt it
     // wholesale instead of moving message-by-message (same zero RNG draws
     // and the same arrival arithmetic as the general loop below).
@@ -385,7 +376,7 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
     }
     std::swap(survivors, batch);
   } else {
-    if (batched) {
+    if (deliver) {
       survivors.reserve(batch.size());
       arrivals.reserve(batch.size());
     }
@@ -412,25 +403,16 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
       const SimTime arrival = next_send_time_;
       next_send_time_ += per_message;
       ++sent;
-      if (downstream_ == nullptr) continue;
-      if (batched) {
-        survivors.push_back(std::move(message));
-        arrivals.push_back(arrival);
-      } else {
-        Message delivered = std::move(message);
-        CloudEndpoint* sink = downstream_;
-        loop_.ScheduleAt(arrival, [sink, delivered = std::move(delivered),
-                                   arrival]() mutable {
-          sink->Deliver(delivered, arrival);
-        });
-      }
+      if (!deliver) continue;
+      survivors.push_back(std::move(message));
+      arrivals.push_back(arrival);
     }
   }
   if (!survivors.empty()) {
     // One event per dispatch tick: the whole capacity window reaches the
     // sink in a single DeliverBatch call at the window's first arrival,
-    // carrying the exact per-message arrival stamps the per-message path
-    // would have delivered at. Round fan-in is O(ticks), not O(messages).
+    // carrying each message's own capacity-limited arrival stamp. Round
+    // fan-in is O(ticks), not O(messages).
     // Delivery events return their buffers to the pool after the sink
     // consumed them; the shared_ptr keeps the pool alive even if this
     // dispatcher is removed before the event fires.
@@ -483,15 +465,15 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
 }
 
 Status DeviceFlow::ConfigureTask(TaskId task, DispatchStrategy strategy,
-                                 CloudEndpoint* downstream, std::uint64_t seed,
-                                 DeliveryMode delivery_mode) {
+                                 CloudEndpoint* downstream,
+                                 std::uint64_t seed) {
   if (dispatchers_.contains(task)) {
     return AlreadyExists("DeviceFlow: task already configured: " +
                          task.ToString());
   }
   dispatchers_.emplace(task, std::make_unique<Dispatcher>(
                                  loop_, task, std::move(strategy), downstream,
-                                 seed, delivery_mode));
+                                 seed));
   return Status::Ok();
 }
 

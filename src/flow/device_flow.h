@@ -40,10 +40,13 @@ class CloudEndpoint {
 
   /// Batched delivery: one dispatch tick's worth of messages with their
   /// per-message arrival stamps (arrivals[i] belongs to messages[i]; both
-  /// spans have equal length and arrivals are non-decreasing). The default
-  /// loops over Deliver so sinks that only implement the per-message hook
-  /// keep working; endpoints on the 100k-device hot path override this to
-  /// consume a whole tick in one virtual call.
+  /// spans have equal length and arrivals are non-decreasing). The tick is
+  /// delivered atomically at its first arrival, so a foreign event (e.g. a
+  /// scheduled aggregation) inside the tick's capacity window observes the
+  /// whole tick. The default loops over Deliver so sinks that only
+  /// implement the per-message hook keep working; endpoints on the
+  /// 100k-device hot path override this to consume a whole tick in one
+  /// virtual call.
   virtual void DeliverBatch(std::span<const Message> messages,
                             std::span<const SimTime> arrivals) {
     for (std::size_t i = 0; i < messages.size(); ++i) {
@@ -61,21 +64,6 @@ class CloudEndpoint {
   virtual void DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
                                    std::span<const SimTime> arrivals);
 };
-
-/// How a dispatcher hands a dispatch tick to the event loop:
-///   kBatched    — one MessageBatch event per tick carrying every survivor
-///                 with its arrival stamp (O(ticks) event fan-in);
-///   kPerMessage — one closure per message (the historical path, kept as
-///                 the reference for equivalence tests).
-/// Both paths draw the same RNG sequence and compute identical arrival
-/// stamps, drops and stats. The granularity caveat: a batched tick is
-/// delivered atomically at its *first* arrival, so a foreign event (e.g. a
-/// scheduled aggregation) whose timestamp falls strictly inside a tick's
-/// capacity window observes the whole tick in kBatched mode but only a
-/// prefix in kPerMessage mode. Ticks of one message (the pass-through
-/// default) have a zero-width window and never diverge; within one mode,
-/// runs are always deterministic and parallelism-invariant.
-enum class DeliveryMode { kBatched, kPerMessage };
 
 /// Default bound on DispatchStats::batches entries (see batch_log_cap).
 inline constexpr std::size_t kDefaultBatchLogCap = 1u << 20;
@@ -171,8 +159,7 @@ class Shelf {
 class Dispatcher {
  public:
   Dispatcher(sim::EventLoop& loop, TaskId task, DispatchStrategy strategy,
-             CloudEndpoint* downstream, std::uint64_t seed,
-             DeliveryMode delivery_mode = DeliveryMode::kBatched);
+             CloudEndpoint* downstream, std::uint64_t seed);
 
   /// Cancels every still-pending strategy event this dispatcher scheduled;
   /// those closures capture `this`, so a dispatcher removed mid-interval
@@ -194,16 +181,12 @@ class Dispatcher {
   const Shelf& shelf() const { return shelf_; }
   TaskId task() const { return task_; }
 
-  DeliveryMode delivery_mode() const { return delivery_mode_; }
-  void set_delivery_mode(DeliveryMode mode) { delivery_mode_ = mode; }
-
   /// Arms the decoded payload plane: batched dispatch ticks fetch + decode
   /// every survivor through `decoder` at tick time (speculatively — see
   /// flow::DecodedUpdate) and deliver via DeliverDecodedBatch instead of
   /// DeliverBatch. Sharded fleets call Decode from shard loops advancing in
-  /// parallel, so the decoder must be thread-safe. nullptr (default) keeps
-  /// the undecoded plane; kPerMessage mode always delivers undecoded (it is
-  /// the legacy reference path).
+  /// parallel, so the decoder must be thread-safe. nullptr (default)
+  /// delivers undecoded ticks through DeliverBatch.
   void set_decoder(const PayloadDecoder* decoder) { decoder_ = decoder; }
   const PayloadDecoder* decoder() const { return decoder_; }
 
@@ -310,7 +293,6 @@ class Dispatcher {
   /// dispatcher when a task is removed mid-tick.
   std::shared_ptr<TickBufferPool> tick_pool_ =
       std::make_shared<TickBufferPool>();
-  DeliveryMode delivery_mode_;
   std::size_t batch_log_cap_ = kDefaultBatchLogCap;
   /// Pending OnRoundEnd time-point/slot events (their closures capture
   /// `this`); cancelled on destruction.
@@ -328,8 +310,7 @@ class DeviceFlow {
 
   /// Registers a task with its strategy and downstream service.
   Status ConfigureTask(TaskId task, DispatchStrategy strategy,
-                       CloudEndpoint* downstream, std::uint64_t seed = 0,
-                       DeliveryMode delivery_mode = DeliveryMode::kBatched);
+                       CloudEndpoint* downstream, std::uint64_t seed = 0);
   Status RemoveTask(TaskId task);
 
   /// Sorter entry point: routes by message.task (§V-A).

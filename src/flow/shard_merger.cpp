@@ -7,8 +7,7 @@
 namespace simdc::flow {
 
 void ShardChannel::Deliver(const Message& message, SimTime arrival) {
-  // Per-message delivery mode: every message is its own one-entry tick,
-  // preserving the (arrival, FIFO) order the mode contract specifies.
+  // A single message is its own one-entry tick, keyed like any other.
   Tick tick;
   tick.time = arrival;
   tick.key = message.id.value();

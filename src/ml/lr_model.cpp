@@ -206,8 +206,9 @@ Result<LrModel> LrModel::FromBytes(std::span<const std::byte> bytes) {
   const std::uint32_t head = ReadRaw<std::uint32_t>(p);
 
   if (head != kQuantMagic) {
-    // Legacy fp32 blob: head is the dimension.
+    // Untagged fp32 blob: head is the dimension.
     const std::uint32_t d = head;
+    if (d == 0) return ParseError("fp32 model blob has dimension 0");
     const std::size_t expected = sizeof(std::uint32_t) + sizeof(float) +
                                  static_cast<std::size_t>(d) * sizeof(float);
     if (bytes.size() != expected) {
@@ -228,6 +229,7 @@ Result<LrModel> LrModel::FromBytes(std::span<const std::byte> bytes) {
   }
   const std::uint32_t codec_raw = ReadRaw<std::uint32_t>(p);
   const std::uint32_t d = ReadRaw<std::uint32_t>(p);
+  if (d == 0) return ParseError("quantized model blob has dimension 0");
   const float bias = ReadRaw<float>(p);
 
   switch (static_cast<PayloadCodec>(codec_raw)) {

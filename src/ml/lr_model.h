@@ -83,6 +83,7 @@ class LrModel {
   /// write payloads straight into reusable per-device scratch buffers.
   void EncodeTo(std::span<std::byte> out, PayloadCodec codec) const;
   /// Codec-aware decode: auto-detects the wire format from the header.
+  /// A blob of dimension 0 is a ParseError under every codec.
   static Result<LrModel> FromBytes(std::span<const std::byte> bytes);
   /// Shared-ownership decode — the entry point of the parallel payload
   /// plane (flow::DecodedUpdate). Same validation and bits as FromBytes;

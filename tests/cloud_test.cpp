@@ -1,5 +1,6 @@
-// Unit tests for the cloud services: blob storage, metrics database,
-// aggregation service with both triggers and both payload planes.
+// Unit tests for the cloud services: blob storage, metrics database, and
+// the aggregation service with both triggers, checked against the
+// test-side FedAvg oracle (reference_aggregation.h).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "cloud/payload_decoder.h"
 #include "cloud/storage.h"
 #include "ml/lr_model.h"
+#include "reference_aggregation.h"
 #include "sim/event_loop.h"
 
 namespace simdc::cloud {
@@ -338,6 +340,10 @@ TEST(MetricsDatabaseTest, FlushRestoreRoundTrips) {
 
 // ---------- AggregationService ----------
 
+using reference::Delivery;
+using reference::ExpectMatchesReference;
+using reference::ReferenceAggregation;
+
 class AggregationTest : public ::testing::Test {
  protected:
   static constexpr std::uint32_t kDim = 16;
@@ -354,6 +360,140 @@ class AggregationTest : public ::testing::Test {
     m.payload = store.Put(model.ToBytes());
     m.sample_count = samples;
     return m;
+  }
+
+  /// A message whose payload is `bytes` (typically not a valid model).
+  static flow::Message Raw(BlobStore& store, std::vector<std::byte> bytes,
+                           std::uint64_t id, std::size_t round = 0) {
+    flow::Message m;
+    m.id = MessageId(id);
+    m.task = TaskId(1);
+    m.device = DeviceId(id);
+    m.round = round;
+    m.payload = store.Put(std::move(bytes));
+    m.sample_count = 4;
+    return m;
+  }
+
+  /// A message referencing a blob that was never stored.
+  static flow::Message Missing(std::uint64_t id, std::size_t round = 0) {
+    flow::Message m;
+    m.id = MessageId(id);
+    m.task = TaskId(1);
+    m.device = DeviceId(id);
+    m.round = round;
+    m.payload = BlobId(1000000 + id);
+    m.sample_count = 4;
+    return m;
+  }
+
+  static AggregationConfig ThresholdConfig(std::size_t threshold,
+                                           bool reject_stale = false) {
+    AggregationConfig config;
+    config.model_dim = kDim;
+    config.trigger = AggregationTrigger::kSampleThreshold;
+    config.sample_threshold = threshold;
+    config.reject_stale = reject_stale;
+    return config;
+  }
+
+  /// Feeds `stream` to `service` as one decoded tick (payloads decoded
+  /// upstream, as dispatch ticks do) or message by message through
+  /// Deliver (which decodes in the handler).
+  static void Feed(AggregationService& service, const BlobStore& store,
+                   std::span<const Delivery> stream, bool per_message) {
+    if (per_message) {
+      for (const Delivery& delivery : stream) {
+        service.Deliver(delivery.message, delivery.arrival);
+      }
+      return;
+    }
+    BlobModelDecoder decoder(store);
+    std::vector<flow::DecodedUpdate> updates;
+    std::vector<SimTime> arrivals;
+    for (const Delivery& delivery : stream) {
+      updates.push_back(decoder.Decode(delivery.message));
+      arrivals.push_back(delivery.arrival);
+    }
+    service.DeliverDecodedBatch(updates, arrivals);
+  }
+
+  /// Runs `stream` through a fresh service (both delivery entry points)
+  /// and through the oracle, and asserts they agree — then, with
+  /// `close_open_round`, publishes the open round on both and asserts
+  /// again. Returns the oracle as of the end of the stream.
+  ReferenceAggregation ExpectStreamMatchesReference(
+      BlobStore& store, const AggregationConfig& config,
+      std::span<const Delivery> stream, ThreadPool* pool = nullptr,
+      bool close_open_round = false) {
+    ReferenceAggregation reference(store, config);
+    reference.Replay(stream);
+    for (const bool per_message : {false, true}) {
+      SCOPED_TRACE(per_message ? "Deliver" : "DeliverDecodedBatch");
+      AggregationService service(loop_, store, config);
+      service.set_thread_pool(pool);
+      Feed(service, store, stream, per_message);
+      ExpectMatchesReference(service, store, reference);
+      if (!close_open_round) continue;
+      ReferenceAggregation closed = reference;
+      EXPECT_TRUE(closed.Close(loop_.Now()));
+      EXPECT_TRUE(service.AggregateNow());
+      ExpectMatchesReference(service, store, closed);
+    }
+    return reference;
+  }
+
+  /// Failure-mix stream, one message per second: `valid_count` valid
+  /// updates of varied magnitude and sample count, interleaved with a
+  /// corrupt blob, a missing blob, a wrong-dimension model and a payload
+  /// whose read faults (store error). With `stale`, always-stale updates
+  /// carrying valid, corrupt and missing payloads ride along. Fresh
+  /// messages carry the round the oracle has reached when they arrive, so
+  /// reject_stale admits them.
+  std::vector<Delivery> MixedStream(BlobStore& store,
+                                    const AggregationConfig& config,
+                                    std::size_t valid_count, bool stale) {
+    auto faulted = std::make_shared<std::vector<BlobId>>();
+    store.set_read_fault_hook([faulted](BlobId id) -> Status {
+      for (const BlobId bad : *faulted) {
+        if (bad == id) return Unavailable("injected read fault");
+      }
+      return Status::Ok();
+    });
+    ReferenceAggregation labeler(store, config);
+    std::vector<Delivery> stream;
+    std::uint64_t id = 1;
+    auto push = [&](flow::Message m, bool fresh) {
+      if (fresh) m.round = labeler.history().size();
+      const Delivery delivery{std::move(m),
+                              Seconds(static_cast<double>(id))};
+      labeler.Deliver(delivery.message, delivery.arrival);
+      stream.push_back(delivery);
+      ++id;
+    };
+    constexpr std::size_t kStaleRound = 999;
+    for (std::size_t k = 0; k < valid_count; ++k) {
+      const float w = static_cast<float>((k % 17) * 1000.0 - 8000.0) +
+                      static_cast<float>(k) * 1e-4f;
+      push(Upload(store, w, 1 + k % 7, id), true);
+      if (k == valid_count / 5) push(Raw(store, Bytes({1, 2, 3}), id), true);
+      if (k == valid_count / 4) push(Missing(id), true);
+      if (k == valid_count / 3) {
+        push(Raw(store, ml::LrModel(kDim * 2).ToBytes(), id), true);
+      }
+      if (k == valid_count / 2) {
+        flow::Message io_fault = Upload(store, 5.0f, 3, id);
+        faulted->push_back(io_fault.payload);
+        push(std::move(io_fault), true);
+      }
+      if (!stale) continue;
+      if (k % 10 == 3) push(Upload(store, w, 2, id, kStaleRound), false);
+      if (k % 10 == 6) {
+        push(Raw(store, Bytes({9, 9}), id, kStaleRound), false);
+      }
+      if (k % 10 == 8) push(Missing(id, kStaleRound), false);
+    }
+    return stream;
   }
 
   sim::EventLoop loop_;
@@ -380,41 +520,19 @@ TEST_F(AggregationTest, SampleThresholdTriggers) {
 }
 
 TEST_F(AggregationTest, BatchedDeliveryMatchesPerMessage) {
-  // One DeliverBatch call crossing the sample threshold mid-batch must
-  // produce the same rounds as the equivalent Deliver sequence — and the
-  // round timestamp must be the *triggering message's* arrival, not the
-  // batch event's time.
-  auto run = [&](bool batched) {
-    BlobStore store;
-    AggregationConfig config;
-    config.model_dim = kDim;
-    config.trigger = AggregationTrigger::kSampleThreshold;
-    config.sample_threshold = 30;
-    AggregationService service(loop_, store, config);
-    std::vector<flow::Message> messages;
-    std::vector<SimTime> arrivals;
-    for (std::uint64_t i = 0; i < 5; ++i) {
-      messages.push_back(
-          Upload(store, static_cast<float>(i + 1), 10, i + 1));
-      arrivals.push_back(Seconds(1.0 + static_cast<double>(i)));
-    }
-    if (batched) {
-      service.DeliverBatch(messages, arrivals);
-    } else {
-      for (std::size_t i = 0; i < messages.size(); ++i) {
-        service.Deliver(messages[i], arrivals[i]);
-      }
-    }
-    return service.history();
-  };
-  const auto batched = run(true);
-  const auto per_message = run(false);
-  ASSERT_EQ(batched.size(), 1u);
-  ASSERT_EQ(per_message.size(), 1u);
-  EXPECT_EQ(batched[0].time, Seconds(3.0));  // third message triggered
-  EXPECT_EQ(batched[0].time, per_message[0].time);
-  EXPECT_EQ(batched[0].clients, per_message[0].clients);
-  EXPECT_EQ(batched[0].samples, per_message[0].samples);
+  // One tick crossing the sample threshold mid-batch must publish exactly
+  // what the per-message reference publishes, and the round timestamp
+  // must be the *triggering message's* arrival, not the tick's time.
+  std::vector<Delivery> stream;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    stream.push_back({Upload(store_, static_cast<float>(i + 1), 10, i + 1),
+                      Seconds(1.0 + static_cast<double>(i))});
+  }
+  const ReferenceAggregation reference =
+      ExpectStreamMatchesReference(store_, ThresholdConfig(30), stream);
+  ASSERT_EQ(reference.history().size(), 1u);
+  EXPECT_EQ(reference.history()[0].time, Seconds(3.0));  // third message
+  EXPECT_EQ(reference.pending_clients(), 2u);
 }
 
 TEST_F(AggregationTest, ScheduledTriggerFiresPeriodically) {
@@ -534,7 +652,7 @@ TEST_F(AggregationTest, DecoderMapsStoreFaultsToDistinctFailures) {
   EXPECT_FALSE(gone.decoded());
   EXPECT_EQ(gone.failure, flow::DecodedUpdate::Failure::kMissingBlob);
 
-  // The decoded plane books them into the same counters as the legacy one.
+  // Decoded deliveries book them into the same counters as Deliver does.
   AggregationConfig config;
   config.model_dim = kDim;
   AggregationService service(loop_, store_, config);
@@ -572,6 +690,21 @@ TEST_F(AggregationTest, WrongDimensionRejected) {
   EXPECT_EQ(service.decode_failures(), 1u);
 }
 
+TEST_F(AggregationTest, ZeroDimensionBlobIsOneDecodeFailure) {
+  // An 8-byte all-zero blob is an fp32 model of dimension 0. The decoder
+  // rejects it as undecodable; it books exactly one decode failure, as it
+  // did when the dim check caught it, and nothing is staged.
+  AggregationConfig config;
+  config.model_dim = kDim;
+  AggregationService service(loop_, store_, config);
+  const flow::Message zero_dim = Raw(store_, std::vector<std::byte>(8), 1);
+  const flow::DecodedUpdate update = BlobModelDecoder(store_).Decode(zero_dim);
+  EXPECT_EQ(update.failure, flow::DecodedUpdate::Failure::kUndecodable);
+  service.Deliver(zero_dim, 0);
+  EXPECT_EQ(service.decode_failures(), 1u);
+  EXPECT_EQ(service.pending_clients(), 0u);
+}
+
 TEST_F(AggregationTest, PublishesModelBlobAndCallback) {
   AggregationConfig config;
   config.model_dim = kDim;
@@ -587,202 +720,6 @@ TEST_F(AggregationTest, PublishesModelBlobAndCallback) {
       });
   service.Deliver(Upload(store_, 4.0f, 5, 1), 0);
   EXPECT_EQ(callbacks, 1u);
-}
-
-// ---------- Decoded payload plane ----------
-
-/// Same fixture, decoded-plane cases: the serial service receives
-/// DecodedUpdates (payloads fetched + decoded upstream) and must keep
-/// every counter and every bit identical to the legacy decode-in-handler
-/// plane. Pinned by name in the CI sanitizer job.
-class AggregationDecodedTest : public AggregationTest {
- protected:
-  /// Pushes `messages` through a fresh service on the given plane and
-  /// returns it for inspection.
-  struct Outcome {
-    std::size_t received = 0;
-    std::size_t decode_failures = 0;
-    std::size_t stale_rejections = 0;
-    std::size_t rounds = 0;
-    std::vector<AggregationRecord> history;
-    std::vector<float> weights;
-  };
-
-  Outcome Run(BlobStore& store, const std::vector<flow::Message>& messages,
-              const std::vector<SimTime>& arrivals, bool decoded,
-              bool reject_stale) {
-    AggregationConfig config;
-    config.model_dim = kDim;
-    config.trigger = AggregationTrigger::kSampleThreshold;
-    config.sample_threshold = 30;
-    config.reject_stale = reject_stale;
-    AggregationService service(loop_, store, config);
-    if (decoded) {
-      BlobModelDecoder decoder(store);
-      std::vector<flow::DecodedUpdate> updates;
-      updates.reserve(messages.size());
-      for (const auto& message : messages) {
-        updates.push_back(decoder.Decode(message));
-      }
-      service.DeliverDecodedBatch(updates, arrivals);
-    } else {
-      service.DeliverBatch(messages, arrivals);
-    }
-    Outcome out;
-    out.received = service.messages_received();
-    out.decode_failures = service.decode_failures();
-    out.stale_rejections = service.stale_rejections();
-    out.rounds = service.rounds_completed();
-    out.history = service.history();
-    out.weights.assign(service.global_model().weights().begin(),
-                       service.global_model().weights().end());
-    return out;
-  }
-
-  static void ExpectSameOutcome(const Outcome& a, const Outcome& b) {
-    EXPECT_EQ(a.received, b.received);
-    EXPECT_EQ(a.decode_failures, b.decode_failures);
-    EXPECT_EQ(a.stale_rejections, b.stale_rejections);
-    ASSERT_EQ(a.rounds, b.rounds);
-    for (std::size_t r = 0; r < a.rounds; ++r) {
-      EXPECT_EQ(a.history[r].time, b.history[r].time);
-      EXPECT_EQ(a.history[r].clients, b.history[r].clients);
-      EXPECT_EQ(a.history[r].samples, b.history[r].samples);
-    }
-    ASSERT_EQ(a.weights.size(), b.weights.size());
-    EXPECT_EQ(0, std::memcmp(a.weights.data(), b.weights.data(),
-                             a.weights.size() * sizeof(float)));
-  }
-};
-
-TEST_F(AggregationDecodedTest, DecodedBatchMatchesLegacyWithFailures) {
-  // A stream mixing valid updates, corrupt blobs, missing blobs, a
-  // wrong-dimension model and a threshold crossing mid-batch must produce
-  // identical counters, round records and global-model bits on both
-  // planes.
-  BlobStore store;
-  std::vector<flow::Message> messages;
-  std::vector<SimTime> arrivals;
-  std::uint64_t id = 1;
-  auto push = [&](flow::Message m) {
-    arrivals.push_back(Seconds(static_cast<double>(id)));
-    messages.push_back(std::move(m));
-    ++id;
-  };
-  push(Upload(store, 1.0f, 10, id));
-  {
-    flow::Message corrupt;  // undecodable payload
-    corrupt.id = MessageId(id);
-    corrupt.task = TaskId(1);
-    corrupt.payload = store.Put(Bytes({1, 2, 3}));
-    corrupt.sample_count = 10;
-    push(corrupt);
-  }
-  {
-    flow::Message missing;  // payload never stored
-    missing.id = MessageId(id);
-    missing.task = TaskId(1);
-    missing.payload = BlobId(424242);
-    missing.sample_count = 10;
-    push(missing);
-  }
-  push(Upload(store, 2.0f, 10, id));
-  {
-    ml::LrModel wrong(kDim * 2);  // decodes, but cannot accumulate
-    flow::Message mismatch;
-    mismatch.id = MessageId(id);
-    mismatch.task = TaskId(1);
-    mismatch.payload = store.Put(wrong.ToBytes());
-    mismatch.sample_count = 10;
-    push(mismatch);
-  }
-  push(Upload(store, 3.0f, 10, id));  // crosses the 30-sample threshold
-  push(Upload(store, 4.0f, 10, id));  // lands in round 2's accumulator
-
-  const auto legacy = Run(store, messages, arrivals, /*decoded=*/false,
-                          /*reject_stale=*/false);
-  const auto decoded = Run(store, messages, arrivals, /*decoded=*/true,
-                           /*reject_stale=*/false);
-  EXPECT_EQ(legacy.decode_failures, 3u);  // corrupt + missing + wrong dim
-  EXPECT_EQ(legacy.stale_rejections, 0u);
-  EXPECT_EQ(legacy.rounds, 1u);
-  ExpectSameOutcome(legacy, decoded);
-}
-
-TEST_F(AggregationDecodedTest, StaleBadPayloadIsStaleNotDecodeFailure) {
-  // The accounting-order contract: reject_stale is checked BEFORE the
-  // (deferred) decode failure commits, so a stale message with a corrupt
-  // or missing payload is a stale rejection on both planes — the decoded
-  // plane must not book its speculative decode error.
-  BlobStore store;
-  std::vector<flow::Message> messages;
-  std::vector<SimTime> arrivals;
-  {
-    flow::Message corrupt_stale;
-    corrupt_stale.id = MessageId(1);
-    corrupt_stale.task = TaskId(1);
-    corrupt_stale.round = 7;  // history is empty: anything != 0 is stale
-    corrupt_stale.payload = store.Put(Bytes({9, 9}));
-    corrupt_stale.sample_count = 5;
-    messages.push_back(corrupt_stale);
-    arrivals.push_back(Seconds(1.0));
-  }
-  {
-    flow::Message missing_stale;
-    missing_stale.id = MessageId(2);
-    missing_stale.task = TaskId(1);
-    missing_stale.round = 9;
-    missing_stale.payload = BlobId(777777);
-    missing_stale.sample_count = 5;
-    messages.push_back(missing_stale);
-    arrivals.push_back(Seconds(2.0));
-  }
-  // Fresh-round bad payloads for contrast: these DO count as decode
-  // failures on both planes.
-  {
-    flow::Message corrupt_fresh;
-    corrupt_fresh.id = MessageId(3);
-    corrupt_fresh.task = TaskId(1);
-    corrupt_fresh.round = 0;
-    corrupt_fresh.payload = store.Put(Bytes({1}));
-    corrupt_fresh.sample_count = 5;
-    messages.push_back(corrupt_fresh);
-    arrivals.push_back(Seconds(3.0));
-  }
-  {
-    flow::Message missing_fresh;
-    missing_fresh.id = MessageId(4);
-    missing_fresh.task = TaskId(1);
-    missing_fresh.round = 0;
-    missing_fresh.payload = BlobId(888888);
-    missing_fresh.sample_count = 5;
-    messages.push_back(missing_fresh);
-    arrivals.push_back(Seconds(4.0));
-  }
-
-  const auto legacy = Run(store, messages, arrivals, /*decoded=*/false,
-                          /*reject_stale=*/true);
-  const auto decoded = Run(store, messages, arrivals, /*decoded=*/true,
-                           /*reject_stale=*/true);
-  EXPECT_EQ(legacy.stale_rejections, 2u);
-  EXPECT_EQ(legacy.decode_failures, 2u);
-  EXPECT_EQ(legacy.received, 4u);
-  ExpectSameOutcome(legacy, decoded);
-}
-
-TEST_F(AggregationDecodedTest, StoppedServiceIgnoresDecodedDeliveries) {
-  BlobStore store;
-  AggregationConfig config;
-  config.model_dim = kDim;
-  AggregationService service(loop_, store, config);
-  service.Stop();
-  BlobModelDecoder decoder(store);
-  const std::vector<flow::DecodedUpdate> updates = {
-      decoder.Decode(Upload(store, 1.0f, 5, 1))};
-  const std::vector<SimTime> arrivals = {Seconds(1.0)};
-  service.DeliverDecodedBatch(updates, arrivals);
-  EXPECT_EQ(service.messages_received(), 0u);
-  EXPECT_EQ(service.decode_failures(), 0u);
 }
 
 TEST_F(AggregationTest, StopIgnoresFurtherDeliveries) {
@@ -810,268 +747,173 @@ TEST_F(AggregationTest, MaxRoundsHonored) {
   EXPECT_EQ(service.rounds_completed(), 2u);
 }
 
-// ---------- Partial-sum aggregation plane ----------
+// ---------- Decoded deliveries vs the oracle ----------
 
-/// Parity suite for AggregatePlane::kPartialSum vs kLegacy on the decoded
-/// delivery path: every counter, round record, published-model bit and
-/// snapshot plane must match. Pinned by name in the CI sanitizer job.
-class AggregationPartialSumTest : public AggregationTest {
- protected:
-  struct Outcome {
-    std::size_t received = 0;
-    std::size_t decode_failures = 0;
-    std::size_t stale_rejections = 0;
-    std::size_t store_errors = 0;
-    std::vector<AggregationRecord> history;
-    std::vector<float> weights;
-    float bias = 0.0f;
-    std::size_t pending_samples = 0;
-    std::size_t pending_clients = 0;
-    AggregationSnapshot snapshot;
+/// Decoded-delivery cases: payloads decoded upstream (or in Deliver) must
+/// book every counter in delivery order and publish every bit the
+/// per-message oracle does. Pinned by name in the CI sanitizer job.
+class AggregationDecodedTest : public AggregationTest {};
+
+TEST_F(AggregationDecodedTest, DecodedBatchMatchesLegacyWithFailures) {
+  // Valid updates, a corrupt blob, a missing blob, a wrong-dimension model
+  // and a store fault, with threshold crossings mid-batch.
+  const AggregationConfig config = ThresholdConfig(30);
+  const auto stream = MixedStream(store_, config, 12, /*stale=*/false);
+  const ReferenceAggregation reference =
+      ExpectStreamMatchesReference(store_, config, stream);
+  EXPECT_EQ(reference.decode_failures(), 3u);  // corrupt + missing + dim
+  EXPECT_EQ(reference.store_errors(), 1u);
+  EXPECT_GE(reference.history().size(), 1u);
+}
+
+TEST_F(AggregationDecodedTest, StaleBadPayloadIsStaleNotDecodeFailure) {
+  // The accounting-order contract: reject_stale is checked BEFORE the
+  // (deferred) decode failure commits, so a stale message with a corrupt
+  // or missing payload is a stale rejection — the upstream decode error
+  // is never booked.
+  const std::vector<Delivery> stream = {
+      {Raw(store_, Bytes({9, 9}), 1, /*round=*/7), Seconds(1.0)},
+      {Missing(2, /*round=*/9), Seconds(2.0)},
+      // Fresh-round bad payloads for contrast: these DO count.
+      {Raw(store_, Bytes({1}), 3), Seconds(3.0)},
+      {Missing(4), Seconds(4.0)},
   };
+  const ReferenceAggregation reference = ExpectStreamMatchesReference(
+      store_, ThresholdConfig(30, /*reject_stale=*/true), stream);
+  EXPECT_EQ(reference.stale_rejections(), 2u);
+  EXPECT_EQ(reference.decode_failures(), 2u);
+  EXPECT_EQ(reference.messages_received(), 4u);
+}
 
-  static void DeliverDecoded(AggregationService& service, BlobStore& store,
-                             const std::vector<flow::Message>& messages,
-                             const std::vector<SimTime>& arrivals) {
-    BlobModelDecoder decoder(store);
-    std::vector<flow::DecodedUpdate> updates;
-    updates.reserve(messages.size());
-    for (const auto& message : messages) {
-      updates.push_back(decoder.Decode(message));
-    }
-    service.DeliverDecodedBatch(updates, arrivals);
-  }
+TEST_F(AggregationDecodedTest, StoppedServiceIgnoresDecodedDeliveries) {
+  BlobStore store;
+  AggregationConfig config;
+  config.model_dim = kDim;
+  AggregationService service(loop_, store, config);
+  service.Stop();
+  BlobModelDecoder decoder(store);
+  const std::vector<flow::DecodedUpdate> updates = {
+      decoder.Decode(Upload(store, 1.0f, 5, 1))};
+  const std::vector<SimTime> arrivals = {Seconds(1.0)};
+  service.DeliverDecodedBatch(updates, arrivals);
+  EXPECT_EQ(service.messages_received(), 0u);
+  EXPECT_EQ(service.decode_failures(), 0u);
+}
 
-  Outcome Run(BlobStore& store, const std::vector<flow::Message>& messages,
-              const std::vector<SimTime>& arrivals, AggregatePlane plane,
-              ThreadPool* pool, std::size_t sample_threshold,
-              bool reject_stale = false) {
-    AggregationConfig config;
-    config.model_dim = kDim;
-    config.trigger = AggregationTrigger::kSampleThreshold;
-    config.sample_threshold = sample_threshold;
-    config.reject_stale = reject_stale;
-    config.aggregate_plane = plane;
-    AggregationService service(loop_, store, config);
-    service.set_thread_pool(pool);
-    DeliverDecoded(service, store, messages, arrivals);
-    return Capture(service);
-  }
+// ---------- Staged, pooled-flush accumulation vs the oracle ----------
 
-  static Outcome Capture(const AggregationService& service) {
-    Outcome out;
-    out.received = service.messages_received();
-    out.decode_failures = service.decode_failures();
-    out.stale_rejections = service.stale_rejections();
-    out.store_errors = service.store_errors();
-    out.history = service.history();
-    out.weights.assign(service.global_model().weights().begin(),
-                       service.global_model().weights().end());
-    out.bias = service.global_model().bias();
-    out.pending_samples = service.pending_samples();
-    out.pending_clients = service.pending_clients();
-    out.snapshot = service.Snapshot();
-    return out;
-  }
-
-  static void ExpectIdentical(const Outcome& a, const Outcome& b) {
-    EXPECT_EQ(a.received, b.received);
-    EXPECT_EQ(a.decode_failures, b.decode_failures);
-    EXPECT_EQ(a.stale_rejections, b.stale_rejections);
-    EXPECT_EQ(a.store_errors, b.store_errors);
-    EXPECT_EQ(a.pending_samples, b.pending_samples);
-    EXPECT_EQ(a.pending_clients, b.pending_clients);
-    ASSERT_EQ(a.history.size(), b.history.size());
-    for (std::size_t r = 0; r < a.history.size(); ++r) {
-      EXPECT_EQ(a.history[r].time, b.history[r].time);
-      EXPECT_EQ(a.history[r].clients, b.history[r].clients);
-      EXPECT_EQ(a.history[r].samples, b.history[r].samples);
-    }
-    ASSERT_EQ(a.weights.size(), b.weights.size());
-    EXPECT_EQ(0, std::memcmp(a.weights.data(), b.weights.data(),
-                             a.weights.size() * sizeof(float)));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a.bias),
-              std::bit_cast<std::uint32_t>(b.bias));
-    // Snapshot parity covers the cascade planes bit-for-bit.
-    EXPECT_EQ(a.snapshot.accumulator, b.snapshot.accumulator);
-    EXPECT_EQ(a.snapshot.accumulator_c1, b.snapshot.accumulator_c1);
-    EXPECT_EQ(a.snapshot.accumulator_c2, b.snapshot.accumulator_c2);
-    EXPECT_EQ(a.snapshot.bias_accumulator, b.snapshot.bias_accumulator);
-    EXPECT_EQ(a.snapshot.bias_accumulator_c1, b.snapshot.bias_accumulator_c1);
-    EXPECT_EQ(a.snapshot.bias_accumulator_c2, b.snapshot.bias_accumulator_c2);
-    EXPECT_EQ(a.snapshot.accumulator_samples, b.snapshot.accumulator_samples);
-    EXPECT_EQ(a.snapshot.accumulator_clients, b.snapshot.accumulator_clients);
-  }
-
-  /// Mixed stream: valid updates with varying magnitudes, a corrupt blob,
-  /// a missing blob, a wrong-dimension model, threshold crossings.
-  void BuildAdversarialStream(BlobStore& store, std::size_t valid_count,
-                              std::vector<flow::Message>& messages,
-                              std::vector<SimTime>& arrivals) {
-    std::uint64_t id = 1;
-    auto push = [&](flow::Message m) {
-      arrivals.push_back(Seconds(static_cast<double>(id)));
-      messages.push_back(std::move(m));
-      ++id;
-    };
-    for (std::size_t k = 0; k < valid_count; ++k) {
-      const float w = static_cast<float>((k % 17) * 1000.0 - 8000.0) +
-                      static_cast<float>(k) * 1e-4f;
-      push(Upload(store, w, 1 + k % 7, id));
-      if (k == valid_count / 3) {
-        flow::Message corrupt;
-        corrupt.id = MessageId(id);
-        corrupt.task = TaskId(1);
-        corrupt.payload = store.Put(Bytes({1, 2, 3}));
-        corrupt.sample_count = 4;
-        push(corrupt);
-      }
-      if (k == valid_count / 2) {
-        flow::Message missing;
-        missing.id = MessageId(id);
-        missing.task = TaskId(1);
-        missing.payload = BlobId(424242);
-        missing.sample_count = 4;
-        push(missing);
-        ml::LrModel wrong(kDim * 2);
-        flow::Message mismatch;
-        mismatch.id = MessageId(id + 1);
-        mismatch.task = TaskId(1);
-        mismatch.payload = store.Put(wrong.ToBytes());
-        mismatch.sample_count = 4;
-        push(mismatch);
-      }
-    }
-  }
-};
+/// The service stages admitted updates and flushes them through per-lane
+/// partial aggregators; the oracle adds one round's updates in one
+/// ml::FedAvg. Every counter, record and published bit must match.
+/// Pinned by name in the CI sanitizer job.
+class AggregationPartialSumTest : public AggregationTest {};
 
 TEST_F(AggregationPartialSumTest, MatchesLegacyPlaneAcrossFailuresAndRounds) {
-  BlobStore store;
-  std::vector<flow::Message> messages;
-  std::vector<SimTime> arrivals;
-  BuildAdversarialStream(store, 60, messages, arrivals);
-  // Threshold 40 closes several rounds mid-batch; the tail stays pending.
-  const auto legacy = Run(store, messages, arrivals, AggregatePlane::kLegacy,
-                          /*pool=*/nullptr, /*sample_threshold=*/40);
-  const auto partial =
-      Run(store, messages, arrivals, AggregatePlane::kPartialSum,
-          /*pool=*/nullptr, /*sample_threshold=*/40);
-  EXPECT_GT(legacy.history.size(), 1u);
-  EXPECT_GT(legacy.decode_failures, 0u);
-  EXPECT_GT(legacy.pending_clients, 0u);  // staged tail visible on both
-  ExpectIdentical(legacy, partial);
+  // Threshold 40 closes several rounds mid-batch; the tail stays staged.
+  for (const bool reject_stale : {false, true}) {
+    SCOPED_TRACE(reject_stale ? "reject_stale" : "admit stale");
+    BlobStore store;
+    const AggregationConfig config = ThresholdConfig(40, reject_stale);
+    const auto stream = MixedStream(store, config, 64, /*stale=*/true);
+    const ReferenceAggregation reference =
+        ExpectStreamMatchesReference(store, config, stream);
+    EXPECT_GT(reference.history().size(), 1u);
+    EXPECT_GT(reference.decode_failures(), 0u);
+    EXPECT_EQ(reference.store_errors(), 1u);
+    EXPECT_GT(reference.pending_clients(), 0u);
+    EXPECT_EQ(reference.stale_rejections() > 0, reject_stale);
+  }
 }
 
 TEST_F(AggregationPartialSumTest, ParallelFlushMatchesLegacyBitForBit) {
-  // The pool path: per-lane partials accumulated by ParallelFor and merged
-  // ascending must publish the same bits as the serial legacy adds. More
-  // messages than the flush cap (256) so capacity flushes happen too.
-  BlobStore store;
-  std::vector<flow::Message> messages;
-  std::vector<SimTime> arrivals;
-  BuildAdversarialStream(store, 600, messages, arrivals);
+  // More admitted updates per round than the service's flush cap (256), so
+  // capacity flushes split every round — serially with no pool, across
+  // ThreadPool(4) lanes with one — and the open round is published too.
   ThreadPool pool(4);
-  const auto legacy = Run(store, messages, arrivals, AggregatePlane::kLegacy,
-                          /*pool=*/nullptr, /*sample_threshold=*/900);
-  const auto partial =
-      Run(store, messages, arrivals, AggregatePlane::kPartialSum, &pool,
-          /*sample_threshold=*/900);
-  EXPECT_GT(legacy.history.size(), 0u);
-  ExpectIdentical(legacy, partial);
+  for (ThreadPool* lanes : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(lanes ? "ThreadPool(4)" : "no pool");
+    BlobStore store;
+    const AggregationConfig config = ThresholdConfig(1500, true);
+    const auto stream = MixedStream(store, config, 700, /*stale=*/true);
+    const ReferenceAggregation reference = ExpectStreamMatchesReference(
+        store, config, stream, lanes, /*close_open_round=*/true);
+    ASSERT_GT(reference.history().size(), 0u);
+    EXPECT_GT(reference.history()[0].clients, 256u);
+    EXPECT_GT(reference.pending_clients(), 256u);
+    EXPECT_GT(reference.stale_rejections(), 0u);
+  }
 }
 
 TEST_F(AggregationPartialSumTest, MidRoundSnapshotRestoreContinuesIdentically) {
   // Cut a snapshot while updates are staged (no flush yet), restore into a
-  // fresh partial-plane service, deliver the rest: the recovered run must
-  // publish the same bits as the uninterrupted legacy run.
-  BlobStore store;
-  std::vector<flow::Message> messages;
-  std::vector<SimTime> arrivals;
-  BuildAdversarialStream(store, 40, messages, arrivals);
+  // fresh service, deliver the rest: the recovered service must publish
+  // what the oracle publishes for the uninterrupted stream.
+  const AggregationConfig config = ThresholdConfig(500);  // all staged
+  const auto stream = MixedStream(store_, config, 40, /*stale=*/true);
   const std::size_t cut = 17;
-  const std::vector<flow::Message> head(messages.begin(),
-                                        messages.begin() + cut);
-  const std::vector<flow::Message> tail(messages.begin() + cut,
-                                        messages.end());
-  const std::vector<SimTime> head_arrivals(arrivals.begin(),
-                                           arrivals.begin() + cut);
-  const std::vector<SimTime> tail_arrivals(arrivals.begin() + cut,
-                                           arrivals.end());
+  const std::span<const Delivery> head(stream.data(), cut);
+  const std::span<const Delivery> tail(stream.data() + cut,
+                                       stream.size() - cut);
 
-  AggregationConfig config;
-  config.model_dim = kDim;
-  config.trigger = AggregationTrigger::kSampleThreshold;
-  config.sample_threshold = 500;  // nothing closes: all staged
-  config.aggregate_plane = AggregatePlane::kPartialSum;
-
-  AggregationService first(loop_, store, config);
-  DeliverDecoded(first, store, head, head_arrivals);
+  AggregationService first(loop_, store_, config);
+  Feed(first, store_, head, /*per_message=*/false);
+  ReferenceAggregation reference(store_, config);
+  reference.Replay(head);
+  ExpectMatchesReference(first, store_, reference);
   EXPECT_GT(first.pending_clients(), 0u);
-  const AggregationSnapshot snapshot = first.Snapshot();
 
-  AggregationService recovered(loop_, store, config);
-  recovered.RestoreSnapshot(snapshot);
+  AggregationService recovered(loop_, store_, config);
+  recovered.RestoreSnapshot(first.Snapshot());
   EXPECT_EQ(recovered.pending_clients(), first.pending_clients());
-  DeliverDecoded(recovered, store, tail, tail_arrivals);
+  Feed(recovered, store_, tail, /*per_message=*/false);
+  reference.Replay(tail);
   EXPECT_TRUE(recovered.AggregateNow());
-
-  AggregationConfig legacy_config = config;
-  legacy_config.aggregate_plane = AggregatePlane::kLegacy;
-  AggregationService uninterrupted(loop_, store, legacy_config);
-  DeliverDecoded(uninterrupted, store, messages, arrivals);
-  EXPECT_TRUE(uninterrupted.AggregateNow());
-
-  ExpectIdentical(Capture(uninterrupted), Capture(recovered));
+  EXPECT_TRUE(reference.Close(loop_.Now()));
+  ExpectMatchesReference(recovered, store_, reference);
 }
 
 TEST_F(AggregationPartialSumTest, QuorumAndAbortSeeStagedUpdates) {
   // The deadline policy must read the combined (flushed + staged) totals:
   // a quorum met purely by staged updates commits, and an abort discards
-  // the staged entries — identically on both planes.
-  for (const AggregatePlane plane :
-       {AggregatePlane::kPartialSum, AggregatePlane::kLegacy}) {
-    sim::EventLoop loop;
-    BlobStore store;
-    AggregationConfig config;
-    config.model_dim = kDim;
-    config.trigger = AggregationTrigger::kSampleThreshold;
-    config.sample_threshold = 1000000;  // rounds close only via deadline
-    config.aggregate_plane = plane;
-    config.round_quorum = 2;
-    config.round_deadline = Seconds(10.0);
-    config.max_round_extensions = 0;
-    AggregationService service(loop, store, config);
-    service.OnRoundOpened(0);
-    loop.ScheduleAt(Seconds(1.0), [&] {
-      DeliverDecoded(service, store,
-                     {Upload(store, 1.0f, 3, 1), Upload(store, 3.0f, 5, 2)},
-                     {Seconds(1.0), Seconds(1.0)});
-    });
-    loop.RunUntil(Seconds(11.0));
-    // Two staged clients met the quorum at the deadline: degraded commit.
-    ASSERT_EQ(service.rounds_completed(), 1u) << "plane "
-                                              << static_cast<int>(plane);
-    EXPECT_EQ(service.deadline_commits(), 1u);
-    EXPECT_EQ(service.history()[0].clients, 2u);
-    EXPECT_EQ(service.history()[0].samples, 8u);
-    EXPECT_EQ(service.pending_samples(), 0u);
+  // the staged entries.
+  sim::EventLoop loop;
+  BlobStore store;
+  AggregationConfig config = ThresholdConfig(1000000);  // deadline only
+  config.round_quorum = 2;
+  config.round_deadline = Seconds(10.0);
+  config.max_round_extensions = 0;
+  AggregationService service(loop, store, config);
+  service.OnRoundOpened(0);
+  loop.ScheduleAt(Seconds(1.0), [&] {
+    const std::vector<Delivery> tick = {
+        {Upload(store, 1.0f, 3, 1), Seconds(1.0)},
+        {Upload(store, 3.0f, 5, 2), Seconds(1.0)}};
+    Feed(service, store, tick, /*per_message=*/false);
+  });
+  loop.RunUntil(Seconds(11.0));
+  // Two staged clients met the quorum at the deadline: degraded commit.
+  ASSERT_EQ(service.rounds_completed(), 1u);
+  EXPECT_EQ(service.deadline_commits(), 1u);
+  EXPECT_EQ(service.history()[0].clients, 2u);
+  EXPECT_EQ(service.history()[0].samples, 8u);
+  EXPECT_EQ(service.pending_samples(), 0u);
 
-    // Next round: one staged update below quorum, no extensions -> abort
-    // discards the staged entry.
-    bool aborted = false;
-    service.set_on_round_aborted([&](SimTime) { aborted = true; });
-    service.OnRoundOpened(Seconds(11.0));
-    loop.ScheduleAt(Seconds(12.0), [&] {
-      DeliverDecoded(service, store, {Upload(store, 2.0f, 4, 3)},
-                     {Seconds(12.0)});
-    });
-    loop.RunUntil(Seconds(30.0));
-    EXPECT_TRUE(aborted);
-    EXPECT_EQ(service.aborted_rounds(), 1u);
-    EXPECT_EQ(service.rounds_completed(), 1u);
-    EXPECT_EQ(service.pending_samples(), 0u);
-    EXPECT_EQ(service.pending_clients(), 0u);
-  }
+  // Next round: one staged update below quorum, no extensions -> abort
+  // discards the staged entry.
+  bool aborted = false;
+  service.set_on_round_aborted([&](SimTime) { aborted = true; });
+  service.OnRoundOpened(Seconds(11.0));
+  loop.ScheduleAt(Seconds(12.0), [&] {
+    const std::vector<Delivery> tick = {
+        {Upload(store, 2.0f, 4, 3), Seconds(12.0)}};
+    Feed(service, store, tick, /*per_message=*/false);
+  });
+  loop.RunUntil(Seconds(30.0));
+  EXPECT_TRUE(aborted);
+  EXPECT_EQ(service.aborted_rounds(), 1u);
+  EXPECT_EQ(service.rounds_completed(), 1u);
+  EXPECT_EQ(service.pending_samples(), 0u);
+  EXPECT_EQ(service.pending_clients(), 0u);
 }
 
 }  // namespace

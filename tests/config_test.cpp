@@ -298,58 +298,34 @@ TEST(ExecutionConfigTest, RejectsInvalidParallelism) {
   EXPECT_TRUE(check("[execution]\nparallelism = lots\n"));
 }
 
-TEST(ExecutionConfigTest, ParsesDecodePlane) {
-  auto decoded = ParseIni("[execution]\ndecode_plane = decoded\n");
-  ASSERT_TRUE(decoded.ok());
-  auto decoded_config = LoadExecution(*decoded);
-  ASSERT_TRUE(decoded_config.ok());
-  EXPECT_EQ(decoded_config->decode_plane, flow::DecodePlane::kDecoded);
-
-  auto legacy = ParseIni("[execution]\nshards = 2\ndecode_plane = legacy\n");
-  ASSERT_TRUE(legacy.ok());
-  auto legacy_config = LoadExecution(*legacy);
-  ASSERT_TRUE(legacy_config.ok());
-  EXPECT_EQ(legacy_config->decode_plane, flow::DecodePlane::kLegacy);
-  EXPECT_EQ(legacy_config->shards, 2u);
-
-  // Missing key keeps the decoded default; junk is rejected loudly.
-  auto missing = ParseIni("[execution]\nparallelism = 2\n");
-  ASSERT_TRUE(missing.ok());
-  auto missing_config = LoadExecution(*missing);
-  ASSERT_TRUE(missing_config.ok());
-  EXPECT_EQ(missing_config->decode_plane, flow::DecodePlane::kDecoded);
-
-  auto junk = ParseIni("[execution]\ndecode_plane = sideways\n");
-  ASSERT_TRUE(junk.ok());
-  EXPECT_FALSE(LoadExecution(*junk).ok());
-}
-
-TEST(ExecutionConfigTest, ParsesAggregatePlane) {
-  auto partial = ParseIni("[execution]\naggregate_plane = partial_sum\n");
-  ASSERT_TRUE(partial.ok());
-  auto partial_config = LoadExecution(*partial);
-  ASSERT_TRUE(partial_config.ok());
-  EXPECT_EQ(partial_config->aggregate_plane, cloud::AggregatePlane::kPartialSum);
-
-  auto legacy =
-      ParseIni("[execution]\nshards = 4\naggregate_plane = legacy\n");
-  ASSERT_TRUE(legacy.ok());
-  auto legacy_config = LoadExecution(*legacy);
-  ASSERT_TRUE(legacy_config.ok());
-  EXPECT_EQ(legacy_config->aggregate_plane, cloud::AggregatePlane::kLegacy);
-  EXPECT_EQ(legacy_config->shards, 4u);
-
-  // Missing key keeps the partial_sum default; junk is rejected loudly.
-  auto missing = ParseIni("[execution]\nparallelism = 2\n");
-  ASSERT_TRUE(missing.ok());
-  auto missing_config = LoadExecution(*missing);
-  ASSERT_TRUE(missing_config.ok());
-  EXPECT_EQ(missing_config->aggregate_plane,
-            cloud::AggregatePlane::kPartialSum);
-
-  auto junk = ParseIni("[execution]\naggregate_plane = serial\n");
-  ASSERT_TRUE(junk.ok());
-  EXPECT_FALSE(LoadExecution(*junk).ok());
+TEST(ExecutionConfigTest, RejectsRemovedPlaneKeys) {
+  // The payload and aggregation planes lost their alternatives; a spec
+  // naming either knob — with any value, even the old default — fails
+  // with an error that names the key, in [execution] and in tenant specs.
+  for (const std::string plane : {"decode", "aggregate"}) {
+    const std::string key = plane + "_plane";
+    for (const std::string value : {"legacy", "decoded", "partial_sum"}) {
+      SCOPED_TRACE(key + " = " + value);
+      auto doc = ParseIni("[execution]\nshards = 2\n" + key + " = " + value +
+                          "\n");
+      ASSERT_TRUE(doc.ok());
+      auto execution = LoadExecution(*doc);
+      ASSERT_FALSE(execution.ok());
+      EXPECT_EQ(execution.error().code(), ErrorCode::kInvalidArgument);
+      EXPECT_NE(execution.error().message().find("[execution] " + key),
+                std::string::npos);
+      EXPECT_NE(execution.error().message().find("removed"),
+                std::string::npos);
+    }
+    auto tenant = ParseIni(
+        "[task]\nname = t\nrounds = 1\n"
+        "[devices.high]\ncount = 10\nlogical_bundles = 8\nphones = 1\n"
+        "[execution]\n" + key + " = legacy\n");
+    ASSERT_TRUE(tenant.ok());
+    auto spec = LoadTenantSpec(*tenant);
+    ASSERT_FALSE(spec.ok());
+    EXPECT_NE(spec.error().message().find(key), std::string::npos);
+  }
 }
 
 TEST(ExecutionConfigTest, ParsesPayloadCodec) {

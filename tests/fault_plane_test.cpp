@@ -15,6 +15,7 @@
 #include <string>
 
 #include "cloud/aggregation.h"
+#include "cloud/payload_decoder.h"
 #include "core/fl_engine.h"
 #include "data/synth_avazu.h"
 #include "device/behavior.h"
@@ -22,6 +23,7 @@
 #include "flow/device_flow.h"
 #include "ml/lr_model.h"
 #include "phonemgr/phone_mgr.h"
+#include "reference_aggregation.h"
 #include "sim/event_loop.h"
 
 namespace simdc {
@@ -702,16 +704,54 @@ TEST(FaultPlaneEngineTest, ChurnRetriesBitIdenticalAcrossShardWidths) {
 }
 
 TEST(FaultPlaneEngineTest, LegacyPlaneMatchesDecodedUnderFaults) {
-  // The decoded/legacy payload-plane equivalence must survive the fault
-  // plane: retried messages decode at their retry-fire tick on the decoded
-  // plane and inline on the legacy plane, same bits either way.
-  const auto dataset = Dataset();
-  auto legacy = FaultConfig();
-  legacy.decode_plane = flow::DecodePlane::kLegacy;
-  const auto reference = RunFault(dataset, FaultConfig(), 1);
-  for (const std::size_t shards : {1u, 4u}) {
-    ExpectOutcomesIdentical(reference, RunFault(dataset, legacy, shards),
-                            shards);
+  // Retried messages are delivered (and, with a decoder, decoded) at their
+  // retry-fire time as single-message ticks that interleave with fresh
+  // ticks; rounds close on whichever arrival crosses the threshold. On
+  // undecoded and decoded dispatchers alike, the service must admit the
+  // stream exactly as the per-message oracle does.
+  constexpr std::uint32_t kDim = 8;
+  for (const bool decoded : {false, true}) {
+    SCOPED_TRACE(decoded ? "decoded" : "undecoded");
+    sim::EventLoop loop;
+    cloud::BlobStore store;
+    cloud::AggregationConfig config;
+    config.model_dim = kDim;
+    config.trigger = cloud::AggregationTrigger::kSampleThreshold;
+    config.sample_threshold = 100;
+    cloud::AggregationService service(loop, store, config);
+    reference::CapturingEndpoint capture(&service);
+    cloud::BlobModelDecoder decoder(store);
+    flow::Dispatcher dispatcher(loop, TaskId(1),
+                                flow::RealtimeAccumulated{{1}, 0.0},
+                                &capture, 21);
+    if (decoded) dispatcher.set_decoder(&decoder);
+    flow::LinkPolicy link;
+    link.transient_failure_probability = 0.4;
+    link.max_attempts = 4;
+    link.backoff_initial = Seconds(1.0);
+    link.upload_deadline = Seconds(5.0);
+    dispatcher.set_link_policy(link);
+    for (std::uint64_t id = 1; id <= 300; ++id) {
+      flow::Message m = LinkMessage(id);
+      m.sample_count = 1 + id % 4;
+      ml::LrModel model(kDim);
+      model.weights()[id % kDim] = static_cast<float>(id) * 0.75f - 100.0f;
+      m.payload = store.Put(model.ToBytes());
+      loop.ScheduleAt(Seconds(0.1 * static_cast<double>(id)),
+                      [&dispatcher, m]() mutable {
+                        dispatcher.OnMessage(std::move(m));
+                      });
+    }
+    loop.Run();
+
+    const flow::DispatchStats& stats = dispatcher.stats();
+    EXPECT_GT(stats.retry_successes, 0u);
+    EXPECT_GT(stats.dropped, 0u);
+    ASSERT_EQ(capture.deliveries().size(), stats.sent);
+    reference::ReferenceAggregation oracle(store, config);
+    oracle.Replay(capture.deliveries());
+    EXPECT_GE(oracle.history().size(), 2u);
+    reference::ExpectMatchesReference(service, store, oracle);
   }
 }
 

@@ -8,11 +8,14 @@
 #include <set>
 #include <span>
 
+#include "cloud/aggregation.h"
+#include "cloud/payload_decoder.h"
 #include "common/stats.h"
 #include "flow/device_flow.h"
 #include "flow/rate_functions.h"
 #include "flow/shard_merger.h"
 #include "flow/strategy.h"
+#include "reference_aggregation.h"
 #include "sim/event_loop.h"
 
 namespace simdc::flow {
@@ -445,7 +448,7 @@ TEST(IsolationTest, TasksDispatchIndependently) {
   EXPECT_EQ(slow_sink.deliveries.size(), 50u);
 }
 
-// ---------- Batched vs per-message delivery equivalence ----------
+// ---------- Batched delivery vs the per-message oracle ----------
 
 /// Records batch boundaries in addition to every delivery (to check that
 /// the batched path really arrives via DeliverBatch, one call per tick).
@@ -463,42 +466,73 @@ class BatchAwareEndpoint final : public CloudEndpoint {
   std::vector<std::size_t> batch_sizes;
 };
 
-struct DispatchOutcome {
-  std::vector<std::pair<SimTime, MessageId>> deliveries;
-  std::vector<std::size_t> batch_sizes;
-  std::size_t sent = 0;
-  std::size_t dropped = 0;
-  std::vector<std::pair<SimTime, std::size_t>> batches;
-};
-
-/// Runs one Fig. 10 scenario (round of `n` messages, then round end) in the
-/// given delivery mode and returns everything observable.
-DispatchOutcome RunScenario(const DispatchStrategy& strategy, std::size_t n,
-                            DeliveryMode mode, std::uint64_t seed) {
+/// Runs one Fig. 10 scenario (a round of `n` uploads carrying real model
+/// payloads, then round end) into an AggregationService behind a
+/// capturing tee — undecoded ticks, or ticks decoded at dispatch time —
+/// and checks the tick plane three ways: every sent message arrives, one
+/// call per non-empty tick; arrival stamps follow the capacity arithmetic
+/// (one 1/capacity slot per survivor on one sender); and the service
+/// publishes exactly what the per-message oracle computes from the
+/// captured stream, with rounds closing inside ticks.
+void ExpectScenarioMatchesReference(const DispatchStrategy& strategy,
+                                    std::size_t n, bool decoded) {
+  constexpr std::uint32_t kDim = 8;
   sim::EventLoop loop;
+  cloud::BlobStore store;
+  cloud::AggregationConfig config;
+  config.model_dim = kDim;
+  config.trigger = cloud::AggregationTrigger::kSampleThreshold;
+  config.sample_threshold = 5000;
+  cloud::AggregationService service(loop, store, config);
+  reference::CapturingEndpoint capture(&service);
+  cloud::BlobModelDecoder decoder(store);
   DeviceFlow flow(loop);
-  BatchAwareEndpoint sink;
-  EXPECT_TRUE(flow.ConfigureTask(TaskId(1), strategy, &sink, seed, mode).ok());
-  EXPECT_TRUE(flow.OnRoundStart(TaskId(1), 0).ok());
+  ASSERT_TRUE(flow.ConfigureTask(TaskId(1), strategy, &capture, 17).ok());
+  Dispatcher* dispatcher = flow.FindDispatcher(TaskId(1));
+  if (decoded) dispatcher->set_decoder(&decoder);
+  ASSERT_TRUE(flow.OnRoundStart(TaskId(1), 0).ok());
   for (std::uint64_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(flow.OnMessage(MakeMessage(TaskId(1), i)).ok());
+    Message m = MakeMessage(TaskId(1), i);
+    ml::LrModel model(kDim);
+    model.weights()[i % kDim] = static_cast<float>(i) * 0.25f - 300.0f;
+    model.bias() = static_cast<float>(i % 13);
+    m.payload = store.Put(model.ToBytes());
+    ASSERT_TRUE(flow.OnMessage(std::move(m)).ok());
   }
-  EXPECT_TRUE(flow.OnRoundEnd(TaskId(1), 0).ok());
+  ASSERT_TRUE(flow.OnRoundEnd(TaskId(1), 0).ok());
   loop.Run();
-  DispatchOutcome out;
-  out.deliveries = sink.deliveries;
-  out.batch_sizes = sink.batch_sizes;
-  const auto& stats = flow.FindDispatcher(TaskId(1))->stats();
-  out.sent = stats.sent;
-  out.dropped = stats.dropped;
-  out.batches = stats.batches;
-  return out;
+
+  const DispatchStats& stats = dispatcher->stats();
+  const auto& deliveries = capture.deliveries();
+  EXPECT_GT(stats.dropped, 0u);
+  ASSERT_EQ(deliveries.size(), stats.sent);
+  std::size_t nonempty_ticks = 0;
+  for (const auto& [when, count] : stats.batches) {
+    if (count > 0) ++nonempty_ticks;
+  }
+  EXPECT_EQ(capture.ticks(), nonempty_ticks);
+
+  const auto spacing =
+      static_cast<SimDuration>(1e6 / kDefaultCapacityPerSecond);
+  SimTime next = 0;
+  std::size_t k = 0;
+  for (const auto& [when, count] : stats.batches) {
+    next = std::max(next, when);
+    for (std::size_t c = 0; c < count; ++c, ++k, next += spacing) {
+      ASSERT_EQ(deliveries[k].arrival, next) << "delivery " << k;
+    }
+  }
+
+  reference::ReferenceAggregation oracle(store, config);
+  oracle.Replay(deliveries);
+  EXPECT_GT(oracle.history().size(), 1u);
+  reference::ExpectMatchesReference(service, store, oracle);
 }
 
 TEST(DeliveryEquivalenceTest, AllStrategiesBitIdenticalAcrossModes) {
   // Fig. 10 scenarios: time-point, time-interval, realtime-accumulated —
   // all with both dropout mechanisms in play so the RNG draw order is
-  // genuinely exercised.
+  // genuinely exercised — on undecoded and decoded ticks.
   TimePointDispatch points;
   points.points = {{Seconds(5), true, 600, 0.1, 0},
                    {Seconds(20), true, 1400, 0.0, 25},
@@ -512,26 +546,12 @@ TEST(DeliveryEquivalenceTest, AllStrategiesBitIdenticalAcrossModes) {
   const std::vector<std::pair<DispatchStrategy, std::size_t>> scenarios = {
       {points, 3000}, {interval, 5000}, {realtime, 4000}};
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    const auto& [strategy, n] = scenarios[s];
-    const auto batched = RunScenario(strategy, n, DeliveryMode::kBatched, 17);
-    const auto legacy = RunScenario(strategy, n, DeliveryMode::kPerMessage, 17);
-    // Bit-identical arrivals (time and message identity, in order).
-    EXPECT_EQ(batched.deliveries, legacy.deliveries) << "scenario " << s;
-    // Bit-identical drop decisions and tick stats.
-    EXPECT_EQ(batched.sent, legacy.sent) << "scenario " << s;
-    EXPECT_EQ(batched.dropped, legacy.dropped) << "scenario " << s;
-    EXPECT_EQ(batched.batches, legacy.batches) << "scenario " << s;
-    // And the batched path really fans in O(ticks): one DeliverBatch call
-    // per non-empty dispatch tick, none on the per-message path.
-    EXPECT_TRUE(legacy.batch_sizes.empty()) << "scenario " << s;
-    std::size_t nonempty_ticks = 0;
-    std::size_t in_batches = 0;
-    for (const auto& [when, count] : batched.batches) {
-      if (count > 0) ++nonempty_ticks;
+    for (const bool decoded : {false, true}) {
+      SCOPED_TRACE("scenario " + std::to_string(s) +
+                   (decoded ? " decoded" : " undecoded"));
+      ExpectScenarioMatchesReference(scenarios[s].first, scenarios[s].second,
+                                     decoded);
     }
-    for (const std::size_t size : batched.batch_sizes) in_batches += size;
-    EXPECT_EQ(batched.batch_sizes.size(), nonempty_ticks) << "scenario " << s;
-    EXPECT_EQ(in_batches, batched.sent) << "scenario " << s;
   }
 }
 
@@ -542,7 +562,7 @@ TEST(DeliveryEquivalenceTest, DefaultDeliverBatchLoopsOverDeliver) {
   DeviceFlow flow(loop);
   RecordingEndpoint sink;  // no DeliverBatch override
   ASSERT_TRUE(flow.ConfigureTask(TaskId(1), RealtimeAccumulated{{50}, 0.0},
-                                 &sink, 0, DeliveryMode::kBatched).ok());
+                                 &sink).ok());
   for (std::uint64_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(flow.OnMessage(MakeMessage(TaskId(1), i)).ok());
   }

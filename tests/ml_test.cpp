@@ -318,6 +318,40 @@ TEST(LrModelCodecTest, QuantizedBlobValidation) {
   EXPECT_FALSE(LrModel::FromBytes(bad_tag).ok());
 }
 
+/// A well-formed tagged `codec` blob for a dimension-0 model, made by
+/// patching a one-weight encoding (encoding an LrModel(0) would memcpy
+/// from null): the dimension is the third header word (magic, codec, dim,
+/// bias), and the one weight is cut off the end.
+std::vector<std::byte> ZeroDimensionBlob(PayloadCodec codec) {
+  std::vector<std::byte> bytes = RampModel(1).ToBytes(codec);
+  bytes.resize(bytes.size() - (codec == PayloadCodec::kFp16 ? 2 : 1));
+  const std::uint32_t zero = 0;
+  std::memcpy(bytes.data() + 2 * sizeof(std::uint32_t), &zero, sizeof(zero));
+  return bytes;
+}
+
+void ExpectZeroDimensionRejected(const std::vector<std::byte>& bytes) {
+  const auto model = LrModel::FromBytes(bytes);
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.error().code(), ErrorCode::kParseError);
+  const auto shared = LrModel::FromBytesShared(bytes);
+  ASSERT_FALSE(shared.ok());
+  EXPECT_EQ(shared.error().code(), ErrorCode::kParseError);
+}
+
+TEST(LrModelCodecTest, Fp32ZeroDimensionBlobRejected) {
+  // Eight zero bytes: an untagged fp32 blob of dimension 0 and bias 0.
+  ExpectZeroDimensionRejected(std::vector<std::byte>(8));
+}
+
+TEST(LrModelCodecTest, Fp16ZeroDimensionBlobRejected) {
+  ExpectZeroDimensionRejected(ZeroDimensionBlob(PayloadCodec::kFp16));
+}
+
+TEST(LrModelCodecTest, Int8ZeroDimensionBlobRejected) {
+  ExpectZeroDimensionRejected(ZeroDimensionBlob(PayloadCodec::kInt8));
+}
+
 TEST(LrModelCodecTest, EncodedSizeRatiosAtScale) {
   // The million-device ladder's wire-size contract (int8 >= 3.9x, fp16 >=
   // 1.9x smaller than fp32) holds from dim 1024 up.
