@@ -252,7 +252,11 @@ int main() {
   // The "before" side of the accumulate comparison: one serial
   // FedAvgAggregator::Add per admitted update — the same count of
   // dim-sized updates the runs above folded, round by round — which is
-  // what the serial side would cost without staging and pooled flushes.
+  // what the serial side would cost without staging, pooled flushes and
+  // relative updates. The sharded rows' accumulate now folds the fp32
+  // updates relative to the round's global model (O(nnz) each, see
+  // ml/fedavg.h), so fig8_partial_accumulate_w8 times that fold plus one
+  // base fold per Aggregate; the >= 2x gate is unchanged.
   std::vector<ml::LrModel> updates;
   for (std::uint32_t k = 0; k < 64; ++k) {
     ml::LrModel model(fleet_config.hash_dim);

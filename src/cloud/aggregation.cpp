@@ -28,9 +28,15 @@ AggregationService::AggregationService(sim::EventLoop& loop,
       storage_(storage),
       config_(config),
       decoder_(storage),
-      aggregator_(config.model_dim),
-      global_model_(config.model_dim) {
+      aggregator_(config.model_dim) {
   SIMDC_CHECK(config.model_dim > 0, "aggregation needs a model dimension");
+  Publish(ml::LrModel(config.model_dim));
+}
+
+void AggregationService::Publish(ml::LrModel model) {
+  global_model_ = std::make_shared<const ml::LrModel>(std::move(model));
+  aggregator_.SetBase(global_model_);
+  decoder_.set_base(global_model_);
 }
 
 void AggregationService::Start() {
@@ -156,13 +162,13 @@ void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
   // A model of the wrong dimension decoded but cannot accumulate; it books
   // as a decode failure at admission so staging never holds one. (Zero
   // samples cannot reach Add either: the floor below is 1.)
-  if (update.model->dim() != config_.model_dim) {
+  if (update.dim() != config_.model_dim) {
     ++decode_failures_;
     return;
   }
   const std::size_t samples =
       update.message.sample_count > 0 ? update.message.sample_count : 1;
-  pending_.push_back({update.model, samples});
+  pending_.push_back({update.model, update.relative, samples});
   staged_samples_ += samples;
   ++staged_clients_;
 
@@ -179,16 +185,27 @@ void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
   if (pending_.size() >= kFlushCap) FlushPending();
 }
 
+Status AggregationService::AddStaged(ml::FedAvgAggregator& aggregator,
+                                     const StagedUpdate& staged) {
+  return staged.relative != nullptr
+             ? aggregator.AddRelative(*staged.relative, staged.samples)
+             : aggregator.Add(*staged.model, staged.samples);
+}
+
 void AggregationService::FlushPending() {
   if (pending_.empty()) return;
   const std::uint64_t t0 = NowNs();
+  const bool any_dense = std::any_of(
+      pending_.begin(), pending_.end(),
+      [](const StagedUpdate& staged) { return staged.model != nullptr; });
   const std::size_t lanes =
-      pool_ ? std::min({pool_->size(), pending_.size(), kMaxLanes})
-            : std::size_t{1};
+      pool_ && any_dense
+          ? std::min({pool_->size(), pending_.size(), kMaxLanes})
+          : std::size_t{1};
   if (lanes <= 1) {
     for (const StagedUpdate& staged : pending_) {
       // Dim was checked at admission and samples >= 1, so Add cannot fail.
-      const Status added = aggregator_.Add(*staged.model, staged.samples);
+      const Status added = AddStaged(aggregator_, staged);
       SIMDC_CHECK(added.ok(), "FlushPending: staged add failed: "
                                   << added.error().ToString());
     }
@@ -196,14 +213,16 @@ void AggregationService::FlushPending() {
     while (partials_.size() < lanes) {
       partials_.emplace_back(config_.model_dim);
     }
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      partials_[lane].SetBase(aggregator_.base());
+    }
     const std::size_t chunk = (pending_.size() + lanes - 1) / lanes;
     pool_->ParallelFor(lanes, [&](std::size_t lane) {
       const std::size_t begin = lane * chunk;
       const std::size_t end = std::min(begin + chunk, pending_.size());
       ml::FedAvgAggregator& partial = partials_[lane];
       for (std::size_t i = begin; i < end; ++i) {
-        const Status added =
-            partial.Add(*pending_[i].model, pending_[i].samples);
+        const Status added = AddStaged(partial, pending_[i]);
         SIMDC_CHECK(added.ok(), "FlushPending: partial add failed: "
                                     << added.error().ToString());
       }
@@ -238,20 +257,23 @@ AggregationSnapshot AggregationService::Snapshot() const {
   s.deadline_commits = deadline_commits_;
   s.round_extensions = round_extensions_;
   s.aborted_rounds = aborted_rounds_;
-  s.model_dim = global_model_.dim();
-  s.global_weights.assign(global_model_.weights().begin(),
-                          global_model_.weights().end());
-  s.global_bias = global_model_.bias();
-  // Canonical accumulator view: staged-but-unflushed updates are folded
-  // serially into a copy, so the snapshot is a total function of the
-  // service and never references payload models. At quiescent boundaries (where checkpoints are cut) pending_
-  // is empty and this is a plain copy.
+  s.model_dim = global_model_->dim();
+  s.global_weights.assign(global_model_->weights().begin(),
+                          global_model_->weights().end());
+  s.global_bias = global_model_->bias();
+  // Canonical accumulator view: staged-but-unflushed updates are added
+  // serially into a copy and the base's share of relative updates is
+  // folded in, so the snapshot is a plain dense cascade — a total function
+  // of the service that never references payload or base models. At
+  // quiescent boundaries (where checkpoints are cut) the aggregator is
+  // empty and this is a plain copy.
   ml::FedAvgAggregator merged = aggregator_;
   for (const StagedUpdate& staged : pending_) {
-    const Status added = merged.Add(*staged.model, staged.samples);
+    const Status added = AddStaged(merged, staged);
     SIMDC_CHECK(added.ok(), "Snapshot: staged add failed: "
                                 << added.error().ToString());
   }
+  merged.FoldBase();
   s.accumulator.assign(merged.accumulator().begin(),
                        merged.accumulator().end());
   s.accumulator_c1.assign(merged.compensation1().begin(),
@@ -282,10 +304,9 @@ void AggregationService::RestoreSnapshot(const AggregationSnapshot& snapshot) {
   std::copy(snapshot.global_weights.begin(), snapshot.global_weights.end(),
             model.weights().begin());
   model.bias() = snapshot.global_bias;
-  global_model_ = std::move(model);
   // The snapshot already holds the canonical merged accumulator (staged
-  // entries folded in at Snapshot time), so recovery starts with nothing
-  // staged.
+  // entries and the base share folded in at Snapshot time), so recovery
+  // starts with nothing staged and no relative samples.
   DiscardPending();
   aggregator_.Restore(snapshot.accumulator, snapshot.accumulator_c1,
                       snapshot.accumulator_c2, snapshot.bias_accumulator,
@@ -293,6 +314,7 @@ void AggregationService::RestoreSnapshot(const AggregationSnapshot& snapshot) {
                       snapshot.bias_accumulator_c2,
                       static_cast<std::size_t>(snapshot.accumulator_samples),
                       static_cast<std::size_t>(snapshot.accumulator_clients));
+  Publish(std::move(model));
 }
 
 bool AggregationService::AggregateAt(SimTime when) {
@@ -311,8 +333,8 @@ bool AggregationService::AggregateAt(SimTime when) {
   record.samples = aggregator_.total_samples();
   record.model_blob = storage_.Put(model->ToBytes());
 
-  global_model_ = std::move(*model);
   aggregator_.Reset();
+  Publish(std::move(*model));
   history_.push_back(record);
   // The round closed: retire its deadline before on_aggregate_ runs — the
   // callback chain may open the next round (OnRoundOpened), and that fresh
@@ -322,7 +344,7 @@ bool AggregationService::AggregateAt(SimTime when) {
     deadline_event_ = 0;
   }
   extensions_used_ = 0;
-  if (on_aggregate_) on_aggregate_(record, global_model_);
+  if (on_aggregate_) on_aggregate_(record, *global_model_);
   return true;
 }
 

@@ -17,11 +17,14 @@
 // There is one admission/accumulate path. The serial handler runs the
 // staleness verdict, the deferred failure bookkeeping and the dim check,
 // then stages each admitted update as a {shared model, samples} entry in
-// O(1). Staged entries are flushed into per-lane partial FedAvg
-// aggregators on the worker pool and merged in fixed ascending-lane
-// order, so per round the serial side does O(lanes·dim) merge work
-// instead of O(msgs·dim) adds. The FedAvg cascade is order-invariant (see
-// ml/fedavg.h), so lane count, flush timing and slicing are bit-invisible
+// O(1). Updates decoded relative to the published global model (see
+// flow::DecodedUpdate) fold serially in O(nnz) each against the
+// aggregator's base; batches holding dense updates are flushed into
+// per-lane partial FedAvg aggregators on the worker pool and merged in
+// fixed ascending-lane order, so per round the serial side does
+// O(lanes·dim) merge work instead of O(msgs·dim) adds. The FedAvg cascade
+// is order-invariant and the relative terms are exact (see ml/fedavg.h),
+// so update form, lane count, flush timing and slicing are bit-invisible
 // in every published model, counter and snapshot;
 // tests/reference_aggregation.h replays the delivery stream through one
 // ml::FedAvg per round and pins that.
@@ -166,8 +169,13 @@ class AggregationService final : public flow::CloudEndpoint {
   void DeliverDecodedBatch(std::span<const flow::DecodedUpdate> updates,
                            std::span<const SimTime> arrivals) override;
 
-  const ml::LrModel& global_model() const { return global_model_; }
-  void SetGlobalModel(ml::LrModel model) { global_model_ = std::move(model); }
+  const ml::LrModel& global_model() const { return *global_model_; }
+  /// The published global model by shared ownership: the base that
+  /// decoders hand out relative updates against. Replaced (never mutated)
+  /// on every publish and restore.
+  const std::shared_ptr<const ml::LrModel>& global_model_shared() const {
+    return global_model_;
+  }
 
   const std::vector<AggregationRecord>& history() const { return history_; }
   std::size_t rounds_completed() const { return history_.size(); }
@@ -238,21 +246,28 @@ class AggregationService final : public flow::CloudEndpoint {
   /// check the dim, stage in O(1), fire the sample-threshold trigger on
   /// the combined (flushed + staged) totals, flush at capacity.
   void DeliverDecodedOne(const flow::DecodedUpdate& update, SimTime arrival);
-  /// Drains staged entries into the aggregator: serially without a pool,
-  /// else via per-lane partials on the pool merged in ascending-lane order.
-  /// Bit-invisible either way (order-invariant cascade).
+  /// Drains staged entries into the aggregator: serially without a pool or
+  /// when every entry is relative (O(nnz) each — a lane merge would cost
+  /// O(lanes·dim) more), else via per-lane partials on the pool merged in
+  /// ascending-lane order. Bit-invisible either way (see ml/fedavg.h).
   void FlushPending();
   /// Drops staged entries (round abort / snapshot restore).
   void DiscardPending();
   /// Aggregates with an explicit round timestamp (`when` is recorded as
   /// AggregationRecord::time).
   bool AggregateAt(SimTime when);
+  /// Installs `model` as the global model and as the base of the
+  /// aggregator and of the Deliver decoder (serial: publish and restore).
+  void Publish(ml::LrModel model);
 
-  /// One admitted-but-unflushed update.
+  /// One admitted-but-unflushed update: dense `model` or `relative`.
   struct StagedUpdate {
     std::shared_ptr<const ml::LrModel> model;
+    std::shared_ptr<const ml::RelativeModel> relative;
     std::size_t samples = 0;
   };
+  static Status AddStaged(ml::FedAvgAggregator& aggregator,
+                          const StagedUpdate& staged);
   /// Flush whenever this many entries are staged: bounds shared-payload
   /// retention and keeps flush slices cache-sized, without changing any
   /// published bit (flush timing is inside the invariance window).
@@ -266,7 +281,7 @@ class AggregationService final : public flow::CloudEndpoint {
   /// Decoder behind Deliver (stateless; reads storage_).
   BlobModelDecoder decoder_;
   ml::FedAvgAggregator aggregator_;
-  ml::LrModel global_model_;
+  std::shared_ptr<const ml::LrModel> global_model_;
   std::vector<AggregationRecord> history_;
   AggregateCallback on_aggregate_;
   RoundAbortCallback on_round_aborted_;

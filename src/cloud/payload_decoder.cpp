@@ -18,6 +18,8 @@ flow::DecodedUpdate BlobModelDecoder::Decode(flow::Message message) const {
     update.error = blob.error();
     return update;
   }
+  update.relative = ml::LrModel::DecodeRelative(blob->span(), base_);
+  if (update.relative != nullptr) return update;
   auto model = ml::LrModel::FromBytesShared(blob->span());
   if (!model.ok()) {
     update.failure = flow::DecodedUpdate::Failure::kUndecodable;

@@ -19,17 +19,25 @@ BlobId BlobStore::Put(std::vector<std::byte> bytes) {
 }
 
 BlobId BlobStore::PutPooled(std::span<const std::byte> bytes) {
+  ByteArena::Allocation slot = ReservePooled(bytes.size());
+  if (!bytes.empty()) std::memcpy(slot.data, bytes.data(), bytes.size());
+  return CommitPooled(std::move(slot));
+}
+
+ByteArena::Allocation BlobStore::ReservePooled(std::size_t size) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ByteArena::Allocation alloc = arena_.Allocate(bytes.size());
-  if (!bytes.empty()) {
-    std::memcpy(alloc.data, bytes.data(), bytes.size());
-  }
+  return arena_.Allocate(size);
+}
+
+BlobId BlobStore::CommitPooled(ByteArena::Allocation slot) {
+  const std::byte* data = slot.data;
+  const std::size_t size = slot.size;
+  std::lock_guard<std::mutex> lock(mutex_);
   const BlobId id(next_id_++);
-  total_bytes_ += bytes.size();
-  bytes_written_ += bytes.size();
-  blobs_.emplace(id,
-                 SharedBlob(std::move(alloc.block), alloc.data, bytes.size()));
-  if (journal_ != nullptr) journal_->OnPut(id, {alloc.data, bytes.size()});
+  total_bytes_ += size;
+  bytes_written_ += size;
+  blobs_.emplace(id, SharedBlob(std::move(slot.block), data, size));
+  if (journal_ != nullptr) journal_->OnPut(id, {data, size});
   return id;
 }
 

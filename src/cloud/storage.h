@@ -7,12 +7,13 @@
 // an opaque BlobId carried inside DeviceFlow messages.
 //
 // Memory plane: payload blobs (the O(msgs)-per-round bulk) are packed into
-// a refcounted bump arena (common/arena.h) via PutPooled, so steady-state
-// rounds touch the heap O(1) times; long-lived blobs (published global
-// models) keep the standalone Put path. Both produce the same SharedBlob
-// view type, and both honor the Delete-while-held guarantee — a SharedBlob
-// owns a reference to its backing storage (arena block or standalone
-// buffer), never the other way round.
+// a refcounted bump arena (common/arena.h) via ReservePooled/CommitPooled
+// (or PutPooled), so steady-state rounds touch the heap O(1) times;
+// long-lived blobs (published global models) keep the standalone Put
+// path. Both produce the same SharedBlob view type, and both honor the
+// Delete-while-held guarantee — a SharedBlob owns a reference to its
+// backing storage (arena block or standalone buffer), never the other way
+// round.
 #pragma once
 
 #include <cstddef>
@@ -31,8 +32,8 @@
 namespace simdc::cloud {
 
 /// Observer of BlobStore mutations — the seam the durability plane hangs
-/// off (persist::DurableStore records every Put/PutPooled/Delete into its
-/// append-only blob log). Callbacks run under the store mutex, after the
+/// off (persist::DurableStore records every Put/pooled commit/Delete into
+/// its append-only blob log). Callbacks run under the store mutex, after the
 /// mutation is applied; implementations must be cheap (buffer, don't do
 /// I/O) and must not call back into the store.
 class BlobJournal {
@@ -87,10 +88,20 @@ class BlobStore {
   BlobId Put(std::vector<std::byte> bytes);
 
   /// Stores a blob by copying `bytes` into the pooled arena — one bump
-  /// allocation, O(1) amortized heap traffic. The path for per-round
-  /// payload uploads; pair with ReclaimArena at round boundaries so blocks
+  /// allocation, O(1) amortized heap traffic; ReservePooled + memcpy +
+  /// CommitPooled. Pair with ReclaimArena at round boundaries so blocks
   /// whose blobs were all Deleted get recycled instead of freed.
   BlobId PutPooled(std::span<const std::byte> bytes);
+
+  /// Two-step pooled write, the path for per-round payload uploads:
+  /// ReservePooled bump-allocates a writable `size`-byte slot in the arena
+  /// (not yet a blob: no id, not counted, not journaled), the caller fills
+  /// it — from any thread, slots are disjoint — and CommitPooled registers
+  /// the final bytes: assigns the next BlobId, updates the byte counters
+  /// and journals them. Ids follow commit order. The slot's block cannot be
+  /// recycled by ReclaimArena while the Allocation is held.
+  ByteArena::Allocation ReservePooled(std::size_t size);
+  BlobId CommitPooled(ByteArena::Allocation slot);
 
   /// Fetches a blob (copy; the store stays authoritative).
   Result<std::vector<std::byte>> Get(BlobId id) const;

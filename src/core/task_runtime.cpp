@@ -427,12 +427,23 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
   // CPU-parallel but deterministic: each device's result depends only on
   // (global model, shard, seeds), never on execution order.
   const ml::LrModel& global = service_->global_model();
+  // The round's payloads decode relative to the model they trained from.
+  // Set here, serially: no shard loop is decoding while a round starts.
+  decoder_.set_base(service_->global_model_shared());
   const auto logical_cut = static_cast<std::size_t>(
       config_.logical_fraction * static_cast<double>(n) + 0.5);
-  // Member scratch: the per-slot payload buffers persist across rounds, so
-  // steady-state rounds reuse them instead of reallocating O(dim) each.
   std::vector<TrainedUpdate>& results = train_scratch_;
   results.resize(participants.size());
+  const std::size_t payload_size = global.EncodedSize(config_.payload_codec);
+  if (config_.reclaim_payload_blobs) {
+    // Encode in place: one arena slot per participant, reserved serially in
+    // slot order (the arena layout a PutPooled per slot would give), filled
+    // by train_one on the pool and committed in slot order below. No
+    // payload is copied between encode and storage.
+    for (TrainedUpdate& trained : results) {
+      trained.slot = storage_.ReservePooled(payload_size);
+    }
+  }
 
   auto train_one = [&, this](std::size_t slot) {
     const std::size_t device_index = participants[slot];
@@ -450,8 +461,12 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
     op->Train(local, shard.examples, train);
 
     TrainedUpdate& out = results[slot];
-    out.bytes.resize(local.EncodedSize(config_.payload_codec));
-    local.EncodeTo(out.bytes, config_.payload_codec);
+    if (config_.reclaim_payload_blobs) {
+      local.EncodeTo({out.slot.data, out.slot.size}, config_.payload_codec);
+    } else {
+      out.bytes.resize(payload_size);
+      local.EncodeTo(out.bytes, config_.payload_codec);
+    }
     out.samples = shard.examples.size();
     out.device = shard.device;
     Rng delay_rng = Rng(config_.seed).Split(device_index ^ (round << 20));
@@ -497,16 +512,15 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
     message.task = config_.task;
     message.device = trained.device;
     message.round = aggregation_round;
-    message.payload_bytes = static_cast<std::int64_t>(trained.bytes.size());
+    message.payload_bytes = static_cast<std::int64_t>(payload_size);
     if (config_.reclaim_payload_blobs) {
-      // Pooled put: the payload is copied into the store's arena, leaving
-      // the scratch buffer in place for the next round's encode. Round-
-      // boundary reclamation recycles the slabs, so steady-state rounds
-      // touch the allocator O(1) times. Pooling is only a win WITH
-      // reclamation — without it the arena would grow one cold slab per
-      // ~16 payloads with no reuse, paying fresh-page faults the
-      // hand-over-by-move path below never incurs.
-      message.payload = storage_.PutPooled(trained.bytes);
+      // Commit the slot train_one encoded into: the blob registers (id,
+      // counters, journal) with no copy. Round-boundary reclamation
+      // recycles the slabs, so steady-state rounds touch the allocator O(1)
+      // times. Pooling stays tied to reclamation: without it the arena
+      // would grow one cold slab per ~16 payloads with no reuse, paying
+      // fresh-page faults the hand-over-by-move path below never incurs.
+      message.payload = storage_.CommitPooled(std::move(trained.slot));
       round_blob_ids_.push_back(message.payload);
     } else {
       // Keep-everything mode: hand the encode buffer to the store whole

@@ -106,11 +106,12 @@ struct FlExperimentConfig {
   /// failure instead of a stale rejection — identical at every shard width
   /// (in-flight sets are width-invariant), but not byte-identical to a
   /// run without reclaim when stragglers exist. This knob also selects the
-  /// storage path: with reclaim on, payloads are arena-pooled
-  /// (BlobStore::PutPooled) and the slabs recycle each round; with it off
-  /// every payload gets its own buffer (BlobStore::Put by move — the
-  /// historical pattern), since an arena that is never reclaimed only adds
-  /// cold slabs. Off by default; the million-device ladder turns it on.
+  /// storage path: with reclaim on, payloads are encoded straight into
+  /// arena slots (BlobStore::ReservePooled/CommitPooled) and the slabs
+  /// recycle each round; with it off every payload gets its own buffer
+  /// (BlobStore::Put by move — the historical pattern), since an arena
+  /// that is never reclaimed only adds cold slabs. Off by default; the
+  /// million-device ladder turns it on.
   bool reclaim_payload_blobs = false;
   cloud::AggregationTrigger trigger = cloud::AggregationTrigger::kScheduled;
   std::size_t sample_threshold = 1000;
@@ -376,12 +377,14 @@ class TaskRuntime {
   std::vector<FleetShard> shards_;
   Rng rng_;
   FlRunResult result_;
-  /// Per-participant training output for the round in flight. A member so
-  /// the O(dim) payload buffers are recycled across rounds: under
-  /// reclaim_payload_blobs the encode → PutPooled path does zero
-  /// steady-state heap allocations per round (without reclaim the buffers
-  /// move into the store and the slots reallocate, the historical cost).
+  /// Per-participant training output for the round in flight. Under
+  /// reclaim_payload_blobs the payload is encoded straight into `slot`, a
+  /// reserved arena slot committed as the blob (BlobStore::ReservePooled /
+  /// CommitPooled): zero payload copies and zero steady-state heap
+  /// allocations per round. Without reclaim it is encoded into `bytes`,
+  /// which moves into the store (the historical cost).
   struct TrainedUpdate {
+    ByteArena::Allocation slot;
     std::vector<std::byte> bytes;
     std::size_t samples = 0;
     SimDuration delay = 0;

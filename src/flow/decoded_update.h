@@ -19,8 +19,17 @@
 //      order and only after the reject_stale check. A stale message with a
 //      corrupt or missing blob therefore counts as a stale rejection,
 //      never as a decode failure, no matter when or where it was decoded.
+//
+// A successful decode takes one of two forms. An untagged fp32 payload
+// that differs from the round's global model in at most dim/8 words is
+// held RELATIVE to it (ml::RelativeModel: the shared base plus the
+// differing words and the bias) — O(nnz) to keep, stage and accumulate,
+// and bit-equal to the dense decode once materialised. Everything else —
+// fp16/int8 blobs, denser updates, a decoder with no base — is the dense
+// shared model FromBytesShared returns.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "common/error.h"
@@ -41,14 +50,22 @@ struct DecodedUpdate {
   enum class Failure { kNone, kMissingBlob, kUndecodable, kStoreError };
 
   Message message;
-  /// Decoded payload model; nullptr when failure != kNone. Shared ownership
-  /// keeps the update cheap to buffer and re-queue through the merge plane.
+  /// Dense decoded payload model; nullptr when the update is relative or
+  /// failed. Shared ownership keeps the update cheap to buffer and re-queue
+  /// through the merge plane.
   std::shared_ptr<const ml::LrModel> model;
+  /// Base-relative decoded payload; nullptr when the update is dense or
+  /// failed. At most one of `model` and `relative` is set.
+  std::shared_ptr<const ml::RelativeModel> relative;
   Failure failure = Failure::kNone;
   /// Failure detail for the warning the serial side logs on commit.
   Status error = Status::Ok();
 
-  bool decoded() const { return model != nullptr; }
+  bool decoded() const { return model != nullptr || relative != nullptr; }
+  /// Dimension of the decoded model (either form); call only if decoded().
+  std::uint32_t dim() const {
+    return model != nullptr ? model->dim() : relative->dim();
+  }
 };
 
 /// Fetch-and-decode seam between the flow plane and payload storage.

@@ -1,6 +1,7 @@
 #include "ml/fedavg.h"
 
 #include <algorithm>
+#include <array>
 
 namespace simdc::ml {
 
@@ -67,6 +68,35 @@ void CascadeMerge(const double* SIMDC_RESTRICT other_sum,
 
 }  // namespace kernels
 
+namespace {
+
+/// Exact multipliers for a base sample count: count = Σ L_i·2^(29i) with
+/// every limb L_i < 2²⁹, so each float·multiplier product is an exact
+/// double (see fedavg.h). Zero limbs are skipped.
+struct CountLimbs {
+  explicit CountLimbs(std::size_t count) {
+    static_assert(sizeof(std::size_t) * 8 <= 29 * 3);
+    double scale = 1.0;
+    for (; count > 0; count >>= 29, scale *= 0x1p29) {
+      const std::size_t limb = count & ((std::size_t{1} << 29) - 1);
+      if (limb != 0) multiplier[size++] = static_cast<double>(limb) * scale;
+    }
+  }
+  std::array<double, 3> multiplier{};
+  std::size_t size = 0;
+};
+
+/// Folds base·count into one coordinate's cascade triple.
+inline void FoldBaseTerm(float base, const CountLimbs& limbs, double& sum,
+                         double& c1, double& c2) {
+  for (std::size_t l = 0; l < limbs.size; ++l) {
+    kernels::CascadeStep(limbs.multiplier[l] * static_cast<double>(base), sum,
+                         c1, c2);
+  }
+}
+
+}  // namespace
+
 Status FedAvgAggregator::Add(const LrModel& model, std::size_t sample_count) {
   if (model.dim() != dim()) {
     return InvalidArgument("FedAvg: model dim " + std::to_string(model.dim()) +
@@ -88,9 +118,57 @@ Status FedAvgAggregator::Add(const LrModel& model, std::size_t sample_count) {
   return Status::Ok();
 }
 
+Status FedAvgAggregator::AddRelative(const RelativeModel& update,
+                                     std::size_t sample_count) {
+  if (update.base != base_) return Add(update.Materialize(), sample_count);
+  if (sample_count == 0) {
+    return InvalidArgument("FedAvg: client update with zero samples");
+  }
+  SIMDC_DCHECK(update.index.size() == update.value.size(),
+               "AddRelative: index/value size mismatch");
+  const auto w = static_cast<double>(sample_count);
+  const auto base = base_->weights();
+  for (std::size_t k = 0; k < update.index.size(); ++k) {
+    const std::uint32_t j = update.index[k];
+    SIMDC_DCHECK(j < base.size(), "AddRelative: index " << j << " >= dim");
+    kernels::CascadeStep(w * static_cast<double>(update.value[k]),
+                         accumulator_[j], compensation1_[j],
+                         compensation2_[j]);
+    kernels::CascadeStep(-w * static_cast<double>(base[j]), accumulator_[j],
+                         compensation1_[j], compensation2_[j]);
+  }
+  kernels::CascadeStep(w * static_cast<double>(update.bias),
+                       bias_accumulator_, bias_compensation1_,
+                       bias_compensation2_);
+  total_samples_ += sample_count;
+  base_samples_ += sample_count;
+  ++clients_;
+  return Status::Ok();
+}
+
+void FedAvgAggregator::SetBase(std::shared_ptr<const LrModel> base) {
+  SIMDC_CHECK(base == nullptr || base->dim() == dim(),
+              "FedAvgAggregator::SetBase: dimension mismatch");
+  FoldBase();
+  base_ = std::move(base);
+}
+
+void FedAvgAggregator::FoldBase() {
+  if (base_samples_ == 0) return;
+  const CountLimbs limbs(base_samples_);
+  const auto base = base_->weights();
+  for (std::size_t i = 0; i < accumulator_.size(); ++i) {
+    FoldBaseTerm(base[i], limbs, accumulator_[i], compensation1_[i],
+                 compensation2_[i]);
+  }
+  base_samples_ = 0;
+}
+
 void FedAvgAggregator::MergeFrom(const FedAvgAggregator& other) {
   SIMDC_CHECK(other.dim() == dim(),
               "FedAvgAggregator::MergeFrom: dimension mismatch");
+  SIMDC_CHECK(other.base_samples_ == 0 || other.base_ == base_,
+              "FedAvgAggregator::MergeFrom: relative partial has another base");
   kernels::CascadeMerge(other.accumulator_.data(), other.compensation1_.data(),
                         other.compensation2_.data(), accumulator_.size(),
                         accumulator_.data(), compensation1_.data(),
@@ -103,6 +181,7 @@ void FedAvgAggregator::MergeFrom(const FedAvgAggregator& other) {
                        bias_compensation1_, bias_compensation2_);
   total_samples_ += other.total_samples_;
   clients_ += other.clients_;
+  base_samples_ += other.base_samples_;
 }
 
 Result<LrModel> FedAvgAggregator::Aggregate() const {
@@ -116,9 +195,19 @@ Result<LrModel> FedAvgAggregator::Aggregate() const {
   const double* SIMDC_RESTRICT c1 = compensation1_.data();
   const double* SIMDC_RESTRICT c2 = compensation2_.data();
   float* SIMDC_RESTRICT out = weights.data();
-  for (std::size_t i = 0; i < accumulator_.size(); ++i) {
-    out[i] =
-        static_cast<float>(kernels::CascadeValue(sum[i], c1[i], c2[i]) / total);
+  if (base_samples_ == 0) {
+    for (std::size_t i = 0; i < accumulator_.size(); ++i) {
+      out[i] = static_cast<float>(
+          kernels::CascadeValue(sum[i], c1[i], c2[i]) / total);
+    }
+  } else {
+    const CountLimbs limbs(base_samples_);
+    const float* base = base_->weights().data();
+    for (std::size_t i = 0; i < accumulator_.size(); ++i) {
+      double s = sum[i], a = c1[i], b = c2[i];
+      FoldBaseTerm(base[i], limbs, s, a, b);
+      out[i] = static_cast<float>(kernels::CascadeValue(s, a, b) / total);
+    }
   }
   model.bias() = static_cast<float>(
       kernels::CascadeValue(bias_accumulator_, bias_compensation1_,
@@ -136,6 +225,7 @@ void FedAvgAggregator::Reset() {
   bias_compensation2_ = 0.0;
   total_samples_ = 0;
   clients_ = 0;
+  base_samples_ = 0;
 }
 
 Result<LrModel> FedAvg(std::span<const ClientUpdate> updates) {

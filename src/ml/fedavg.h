@@ -18,10 +18,25 @@
 // merge in any fixed order while reproducing one serial accumulate
 // bit-for-bit; tests/ml_test.cpp pins the invariance with adversarial
 // shuffles and shard splits.
+//
+// Relative updates. A client model decoded relative to the round's global
+// model g (ml::RelativeModel: the words that differ, plus the bias) adds in
+// O(nnz) instead of O(dim): for each differing word j it cascades the two
+// terms +w·v_j and −w·g[j], and it adds w to a base sample count W_g.
+// Aggregate() then folds g[j]·W_g into every coordinate as extra terms.
+// The exact sum is unchanged:
+//   Σ_dense w_k·x_k[j] + Σ_rel (w·v_j − w·g[j]) + g[j]·W_g = Σ_all w_k·x_k[j].
+// Every term is an exact double: a float (24-bit significand) times an
+// integer below 2²⁹ fits in 53 bits, and W_g is split into limbs
+// W_g = Σ_i L_i·2^(29i) with L_i < 2²⁹, so g[j]·L_i·2^(29i) is exact too.
+// The cascade therefore sees a different multiset of exact terms with the
+// same exact sum, and the invariance window above gives the same published
+// bits as adding every update densely.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -87,8 +102,26 @@ class FedAvgAggregator {
   /// Adds one client model weighted by its sample count.
   Status Add(const LrModel& model, std::size_t sample_count);
 
+  /// Adds one base-relative client model (see the file comment). When
+  /// `update.base` is this aggregator's base (pointer identity) the add is
+  /// O(nnz); otherwise — the round closed between decode and admission —
+  /// the update is materialised and added densely.
+  Status AddRelative(const RelativeModel& update, std::size_t sample_count);
+
+  /// Sets the model relative updates fold against (the round's global
+  /// model). Any samples already counted against the old base are folded
+  /// into the cascade first.
+  void SetBase(std::shared_ptr<const LrModel> base);
+  const std::shared_ptr<const LrModel>& base() const { return base_; }
+  /// Samples added through the O(nnz) relative path since the last fold.
+  std::size_t base_samples() const { return base_samples_; }
+  /// Folds base·base_samples into the cascade and zeroes the count, leaving
+  /// a plain dense cascade with the same exact sum (what checkpoints hold).
+  void FoldBase();
+
   /// Folds `other`'s accumulated state into this aggregator (partial-sum
-  /// reduction). Both must share a dimension. `other` is unchanged.
+  /// reduction). Both must share a dimension and, if `other` counted
+  /// relative samples, the same base. `other` is unchanged.
   void MergeFrom(const FedAvgAggregator& other);
 
   /// Weighted-average model of everything added since the last Reset.
@@ -109,8 +142,9 @@ class FedAvgAggregator {
   double bias_compensation1() const { return bias_compensation1_; }
   double bias_compensation2() const { return bias_compensation2_; }
 
-  /// Restores cascade state from a checkpoint. All three spans must match
-  /// this aggregator's dimension.
+  /// Restores cascade state from a checkpoint (a folded, dense cascade:
+  /// the base sample count is zeroed). All three spans must match this
+  /// aggregator's dimension.
   void Restore(std::span<const double> accumulator,
                std::span<const double> compensation1,
                std::span<const double> compensation2, double bias_accumulator,
@@ -130,6 +164,7 @@ class FedAvgAggregator {
     bias_compensation2_ = bias_compensation2;
     total_samples_ = total_samples;
     clients_ = clients;
+    base_samples_ = 0;
   }
 
  private:
@@ -144,6 +179,10 @@ class FedAvgAggregator {
   double bias_compensation2_ = 0.0;
   std::size_t total_samples_ = 0;
   std::size_t clients_ = 0;
+  /// Base of the relative path and the samples whose untouched weights it
+  /// still owes (folded in by Aggregate / FoldBase).
+  std::shared_ptr<const LrModel> base_;
+  std::size_t base_samples_ = 0;
   std::uint32_t dim() const {
     return static_cast<std::uint32_t>(accumulator_.size());
   }

@@ -271,6 +271,65 @@ Result<LrModel> LrModel::FromBytes(std::span<const std::byte> bytes) {
   return ParseError("unknown payload codec tag: " + std::to_string(codec_raw));
 }
 
+std::shared_ptr<const RelativeModel> LrModel::DecodeRelative(
+    std::span<const std::byte> bytes, std::shared_ptr<const LrModel> base) {
+  if (base == nullptr || bytes.size() != base->SerializedSize()) return nullptr;
+  const std::byte* p = bytes.data();
+  const std::uint32_t d = ReadRaw<std::uint32_t>(p);
+  if (d != base->dim() || d == 0 || d == kQuantMagic) return nullptr;
+  const float bias = ReadRaw<float>(p);
+  const std::byte* blob = p;
+  const auto* ref = reinterpret_cast<const std::byte*>(base->weights_.data());
+
+  // Differing word indices of this call; past dim/8 of them the update is
+  // dense enough that the relative form stops paying and the scan stops.
+  thread_local std::vector<std::uint32_t> diffs;
+  diffs.clear();
+  const std::size_t limit = d / 8;
+  auto scan_words = [&](std::size_t first, std::size_t count) {
+    for (std::size_t i = first; i < first + count; ++i) {
+      const std::size_t at = i * sizeof(float);
+      // Bit comparison: -0.0 vs +0.0 and NaN payloads count as differences.
+      if (std::memcmp(blob + at, ref + at, sizeof(float)) == 0) continue;
+      if (diffs.size() == limit) return false;
+      diffs.push_back(static_cast<std::uint32_t>(i));
+    }
+    return true;
+  };
+  constexpr std::size_t kBlockBytes = 64;
+  constexpr std::size_t kBlockWords = kBlockBytes / sizeof(float);
+  const std::size_t full = d / kBlockWords * kBlockWords;
+  for (std::size_t first = 0; first < full; first += kBlockWords) {
+    const std::size_t at = first * sizeof(float);
+    if (std::memcmp(blob + at, ref + at, kBlockBytes) != 0 &&
+        !scan_words(first, kBlockWords)) {
+      return nullptr;
+    }
+  }
+  if (!scan_words(full, d - full)) return nullptr;
+
+  auto relative = std::make_shared<RelativeModel>();
+  relative->base = std::move(base);
+  relative->index.assign(diffs.begin(), diffs.end());
+  relative->value.resize(diffs.size());
+  for (std::size_t k = 0; k < diffs.size(); ++k) {
+    std::memcpy(&relative->value[k], blob + diffs[k] * sizeof(float),
+                sizeof(float));
+  }
+  relative->bias = bias;
+  return relative;
+}
+
+LrModel RelativeModel::Materialize() const {
+  LrModel model = *base;
+  const auto weights = model.weights();
+  for (std::size_t k = 0; k < index.size(); ++k) {
+    weights[index[k]] = value[k];
+  }
+  model.bias() = bias;
+  return model;
+}
+
 Result<std::shared_ptr<const LrModel>> LrModel::FromBytesShared(
     std::span<const std::byte> bytes) {
   auto model = FromBytes(bytes);

@@ -40,6 +40,8 @@ enum class PayloadCodec : std::uint8_t {
 
 const char* ToString(PayloadCodec codec);
 
+struct RelativeModel;
+
 class LrModel {
  public:
   explicit LrModel(std::uint32_t dim) : weights_(dim, 0.0f) {}
@@ -93,6 +95,15 @@ class LrModel {
   static Result<std::shared_ptr<const LrModel>> FromBytesShared(
       std::span<const std::byte> bytes);
 
+  /// Base-relative decode of an untagged fp32 blob: compares the blob's
+  /// weights to `base` bit-for-bit in 64-byte blocks (memcmp), descending
+  /// only into blocks that differ. Returns nullptr — and the caller falls
+  /// back to FromBytesShared, which owns every error path — unless the blob
+  /// is an untagged fp32 blob of base's dimension with at most dim/8
+  /// differing words. O(dim) compare, O(nnz) output.
+  static std::shared_ptr<const RelativeModel> DecodeRelative(
+      std::span<const std::byte> bytes, std::shared_ptr<const LrModel> base);
+
   /// Serialized size in bytes (what DeviceFlow/storage accounting uses).
   std::size_t SerializedSize() const {
     return sizeof(std::uint32_t) + sizeof(float) +
@@ -104,6 +115,23 @@ class LrModel {
  private:
   std::vector<float> weights_;
   float bias_ = 0.0f;
+};
+
+/// A client model held relative to the global model it was trained from:
+/// every weight equals base's bit-for-bit except weight index[k], which is
+/// value[k]; the bias is explicit. A client touches only the weights its
+/// examples hash to and the trainers have no regulariser, so an fp32
+/// update differs from its base in a few words out of dim. Indices are
+/// strictly ascending and < base->dim(); index and value are exact-size.
+struct RelativeModel {
+  std::shared_ptr<const LrModel> base;
+  std::vector<std::uint32_t> index;
+  std::vector<float> value;
+  float bias = 0.0f;
+
+  std::uint32_t dim() const { return base->dim(); }
+  /// The dense model this represents (bit-equal to FromBytes of its blob).
+  LrModel Materialize() const;
 };
 
 }  // namespace simdc::ml

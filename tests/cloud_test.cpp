@@ -163,6 +163,112 @@ TEST(BlobStoreTest, SharedBlobOutlivesStoreDestruction) {
   EXPECT_EQ(pooled[0], static_cast<std::byte>(3));
 }
 
+// ---------- BlobStore two-step pooled write ----------
+
+/// Journal that keeps a copy of every record it is shown.
+class RecordingJournal final : public BlobJournal {
+ public:
+  void OnPut(BlobId id, std::span<const std::byte> bytes) override {
+    puts.push_back({id, std::vector<std::byte>(bytes.begin(), bytes.end())});
+  }
+  void OnDelete(BlobId id) override { deletes.push_back(id); }
+
+  std::vector<std::pair<BlobId, std::vector<std::byte>>> puts;
+  std::vector<BlobId> deletes;
+};
+
+void Fill(const ByteArena::Allocation& slot, std::span<const std::byte> bytes) {
+  ASSERT_EQ(slot.size, bytes.size());
+  std::memcpy(slot.data, bytes.data(), bytes.size());
+}
+
+TEST(BlobStorePooledWriteTest, IdsFollowCommitOrderAndJournalSeesFinalBytes) {
+  BlobStore store;
+  RecordingJournal journal;
+  store.set_journal(&journal);
+  const auto a = Bytes({1, 2, 3});
+  const auto b = Bytes({4, 5});
+  ByteArena::Allocation slot_a = store.ReservePooled(a.size());
+  ByteArena::Allocation slot_b = store.ReservePooled(b.size());
+  // A reservation is not a blob yet: no id, no bytes, no journal record.
+  EXPECT_EQ(store.blob_count(), 0u);
+  EXPECT_EQ(store.bytes_written(), 0u);
+  EXPECT_EQ(store.total_bytes(), 0u);
+  EXPECT_TRUE(journal.puts.empty());
+  EXPECT_EQ(store.next_id(), 1u);
+
+  Fill(slot_b, b);
+  Fill(slot_a, a);
+  const BlobId id_b = store.CommitPooled(std::move(slot_b));
+  const BlobId id_a = store.CommitPooled(std::move(slot_a));
+  EXPECT_EQ(id_b.value(), 1u);
+  EXPECT_EQ(id_a.value(), 2u);
+  EXPECT_EQ(store.bytes_written(), a.size() + b.size());
+  EXPECT_EQ(store.total_bytes(), a.size() + b.size());
+  ASSERT_EQ(journal.puts.size(), 2u);
+  EXPECT_EQ(journal.puts[0].first, id_b);
+  EXPECT_EQ(journal.puts[0].second, b);
+  EXPECT_EQ(journal.puts[1].first, id_a);
+  EXPECT_EQ(journal.puts[1].second, a);
+  auto read = store.Get(id_a);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, a);
+}
+
+TEST(BlobStorePooledWriteTest, MatchesPutPooledAccounting) {
+  // Reserve + fill + commit is the same write as PutPooled: same ids, same
+  // bytes, same counters, same arena slabs.
+  BlobStore copied;
+  BlobStore in_place;
+  std::vector<std::vector<std::byte>> blobs;
+  for (int k = 0; k < 40; ++k) {
+    const auto dim = 4096 + static_cast<std::uint32_t>(k);
+    blobs.push_back(ml::LrModel(dim).ToBytes());
+  }
+  for (const auto& bytes : blobs) {
+    const BlobId want = copied.PutPooled(bytes);
+    ByteArena::Allocation slot = in_place.ReservePooled(bytes.size());
+    Fill(slot, bytes);
+    EXPECT_EQ(in_place.CommitPooled(std::move(slot)), want);
+  }
+  EXPECT_EQ(in_place.bytes_written(), copied.bytes_written());
+  EXPECT_EQ(in_place.total_bytes(), copied.total_bytes());
+  EXPECT_EQ(in_place.arena_blocks_created(), copied.arena_blocks_created());
+  for (std::uint64_t id = 1; id <= blobs.size(); ++id) {
+    auto got = in_place.Get(BlobId(id));
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, blobs[id - 1]);
+  }
+}
+
+TEST(BlobStorePooledWriteTest, ReclaimNeverRecyclesAReservedSlot) {
+  // A reserved-but-uncommitted slot pins its block: ReclaimArena must not
+  // recycle it (a later reservation would then overwrite the slot), even
+  // when every committed blob in that block has been deleted.
+  BlobStore store;
+  const BlobId gone = store.PutPooled(Bytes({7, 7, 7}));
+  ByteArena::Allocation slot = store.ReservePooled(4);
+  ASSERT_TRUE(store.Delete(gone).ok());
+  EXPECT_EQ(store.ReclaimArena(), 0u);
+  Fill(slot, Bytes({1, 2, 3, 4}));
+  // The next reservation comes from a fresh slab, never from the pinned one.
+  ByteArena::Allocation other = store.ReservePooled(4);
+  Fill(other, Bytes({9, 9, 9, 9}));
+  EXPECT_EQ(store.arena_blocks_created(), 2u);
+  const BlobId id = store.CommitPooled(std::move(slot));
+  const BlobId id_other = store.CommitPooled(std::move(other));
+  auto read = store.Get(id);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, Bytes({1, 2, 3, 4}));
+  auto read_other = store.Get(id_other);
+  ASSERT_TRUE(read_other.ok());
+  EXPECT_EQ(*read_other, Bytes({9, 9, 9, 9}));
+  // Once committed and deleted, the slab recycles as usual.
+  ASSERT_TRUE(store.Delete(id).ok());
+  ASSERT_TRUE(store.Delete(id_other).ok());
+  EXPECT_EQ(store.ReclaimArena(), 2u);
+}
+
 TEST(BlobStoreConcurrencyTest, ConcurrentPutGetDeleteStress) {
   // N writers Put/Delete while N readers Get/GetShared and decode — the
   // exact concurrency shape of the decoded payload plane (shard workers
@@ -408,7 +514,11 @@ class AggregationTest : public ::testing::Test {
       }
       return;
     }
+    // Decoded against the service's global model at feed time, as the
+    // engine's dispatch-tick decoder is; a round closing mid-tick leaves
+    // the rest of the tick relative to the previous model.
     BlobModelDecoder decoder(store);
+    decoder.set_base(service.global_model_shared());
     std::vector<flow::DecodedUpdate> updates;
     std::vector<SimTime> arrivals;
     for (const Delivery& delivery : stream) {
@@ -914,6 +1024,232 @@ TEST_F(AggregationPartialSumTest, QuorumAndAbortSeeStagedUpdates) {
   EXPECT_EQ(service.rounds_completed(), 1u);
   EXPECT_EQ(service.pending_samples(), 0u);
   EXPECT_EQ(service.pending_clients(), 0u);
+}
+
+
+// ---------- Base-relative decode ----------
+
+class RelativeDecodeTest : public AggregationTest {
+ protected:
+  /// A full-significand model of dimension `dim` (not a multiple of the
+  /// 16-word compare block, so the tail path runs too).
+  static std::shared_ptr<const ml::LrModel> Base(std::uint32_t dim) {
+    auto base = std::make_shared<ml::LrModel>(dim);
+    for (std::uint32_t i = 0; i < dim; ++i) {
+      base->weights()[i] = static_cast<float>(i + 1) / 7.0f;
+    }
+    base->bias() = -0.5f;
+    return base;
+  }
+
+  /// `base` with the first `changed` weights (spread over the vector)
+  /// rewritten.
+  static ml::LrModel Touch(const ml::LrModel& base, std::uint32_t changed) {
+    ml::LrModel model = base;
+    for (std::uint32_t k = 0; k < changed; ++k) {
+      model.weights()[(k * 7) % base.dim()] += 1.0f;
+    }
+    model.bias() = 3.0f;
+    return model;
+  }
+
+  static std::vector<std::uint32_t> Bits(const ml::LrModel& model) {
+    std::vector<std::uint32_t> bits;
+    for (const float w : model.weights()) {
+      bits.push_back(std::bit_cast<std::uint32_t>(w));
+    }
+    bits.push_back(std::bit_cast<std::uint32_t>(model.bias()));
+    return bits;
+  }
+
+  flow::Message Stored(BlobStore& store, std::vector<std::byte> bytes,
+                       std::uint64_t id, std::size_t samples = 10) {
+    flow::Message m = Raw(store, std::move(bytes), id);
+    m.sample_count = samples;
+    return m;
+  }
+};
+
+TEST_F(RelativeDecodeTest, RelativeDecodeMaterialisesToFromBytes) {
+  const auto base = Base(40);
+  const ml::LrModel client = Touch(*base, 3);
+  BlobModelDecoder decoder(store_);
+  decoder.set_base(base);
+  for (const bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "PutPooled" : "Put");
+    const auto bytes = client.ToBytes();
+    flow::Message m = Stored(store_, bytes, 1);
+    if (pooled) m.payload = store_.PutPooled(bytes);
+    const flow::DecodedUpdate update = decoder.Decode(m);
+    ASSERT_TRUE(update.decoded());
+    ASSERT_NE(update.relative, nullptr);
+    EXPECT_EQ(update.model, nullptr);
+    EXPECT_EQ(update.relative->base, base);
+    EXPECT_EQ(update.dim(), 40u);
+    EXPECT_EQ(update.relative->index.size(), 3u);
+    EXPECT_EQ(update.relative->index.capacity(), 3u);
+    auto dense = ml::LrModel::FromBytes(bytes);
+    ASSERT_TRUE(dense.ok());
+    EXPECT_EQ(Bits(update.relative->Materialize()), Bits(*dense));
+  }
+}
+
+TEST_F(RelativeDecodeTest, DensityFallbackAndQuantizedBlobsDecodeDensely) {
+  const auto base = Base(40);  // dim/8 = 5 words may differ
+  BlobModelDecoder decoder(store_);
+  decoder.set_base(base);
+  const auto at_limit = Touch(*base, 5).ToBytes();
+  const auto past_limit = Touch(*base, 6).ToBytes();
+  EXPECT_NE(decoder.Decode(Stored(store_, at_limit, 1)).relative, nullptr);
+  const flow::DecodedUpdate dense =
+      decoder.Decode(Stored(store_, past_limit, 2));
+  ASSERT_NE(dense.model, nullptr);
+  EXPECT_EQ(dense.relative, nullptr);
+  auto want = ml::LrModel::FromBytes(past_limit);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(Bits(*dense.model), Bits(*want));
+
+  // fp16/int8 blobs — even of the base itself — and a decoder without a
+  // base keep the dense path.
+  for (const auto codec : {ml::PayloadCodec::kFp16, ml::PayloadCodec::kInt8}) {
+    const auto bytes = base->ToBytes(codec);
+    const flow::DecodedUpdate quantized =
+        decoder.Decode(Stored(store_, bytes, 3));
+    ASSERT_NE(quantized.model, nullptr) << ml::ToString(codec);
+    EXPECT_EQ(quantized.relative, nullptr);
+    auto eager = ml::LrModel::FromBytes(bytes);
+    ASSERT_TRUE(eager.ok());
+    EXPECT_EQ(Bits(*quantized.model), Bits(*eager));
+  }
+  const flow::DecodedUpdate no_base =
+      BlobModelDecoder(store_).Decode(Stored(store_, at_limit, 4));
+  EXPECT_NE(no_base.model, nullptr);
+  EXPECT_EQ(no_base.relative, nullptr);
+}
+
+TEST_F(RelativeDecodeTest, MalformedBlobsKeepTheirFailureAndErrorText) {
+  // With a base set, every malformed blob still fails exactly as the dense
+  // decoder says — same failure kind, same ParseError text — and books the
+  // same counter in the service.
+  const auto base = Base(kDim);
+  auto truncated = base->ToBytes();
+  truncated.pop_back();
+  auto oversized = base->ToBytes();
+  oversized.resize(oversized.size() + 4);
+  auto tagged_short = base->ToBytes(ml::PayloadCodec::kFp16);
+  tagged_short.resize(10);
+  const std::vector<std::vector<std::byte>> malformed = {
+      truncated, oversized, std::vector<std::byte>(8),
+      Bytes({1, 2, 3}), tagged_short};
+  BlobModelDecoder with_base(store_);
+  with_base.set_base(base);
+  const BlobModelDecoder without_base(store_);
+  std::vector<Delivery> stream;
+  std::uint64_t id = 1;
+  for (const auto& bytes : malformed) {
+    const flow::Message m = Stored(store_, bytes, id);
+    const flow::DecodedUpdate got = with_base.Decode(m);
+    const flow::DecodedUpdate want = without_base.Decode(m);
+    EXPECT_FALSE(got.decoded());
+    EXPECT_EQ(got.failure, flow::DecodedUpdate::Failure::kUndecodable);
+    EXPECT_EQ(got.failure, want.failure);
+    EXPECT_EQ(got.error.ToString(), want.error.ToString());
+    stream.push_back({m, Seconds(static_cast<double>(id++))});
+  }
+  // A well-formed model of another dimension decodes densely and fails the
+  // admission dim check; a valid sparse update is admitted.
+  const flow::Message wrong_dim = Stored(store_, Base(kDim * 2)->ToBytes(), id);
+  ASSERT_NE(with_base.Decode(wrong_dim).model, nullptr);
+  stream.push_back({wrong_dim, Seconds(static_cast<double>(id++))});
+  stream.push_back(
+      {Upload(store_, 2.0f, 5, id), Seconds(static_cast<double>(id))});
+  const ReferenceAggregation reference = ExpectStreamMatchesReference(
+      store_, ThresholdConfig(1000), stream, nullptr,
+      /*close_open_round=*/true);
+  EXPECT_EQ(reference.decode_failures(), malformed.size() + 1);
+  EXPECT_EQ(reference.store_errors(), 0u);
+}
+
+TEST_F(RelativeDecodeTest, RoundClosingBetweenDecodeAndAdmissionFallsBack) {
+  // One decoded tick, every update relative to the model current when the
+  // tick was decoded. The threshold closes rounds mid-tick, so later
+  // updates reach the aggregator after its base moved on: they take the
+  // materialising fallback and the service still matches the oracle —
+  // serially, and with ThreadPool(4) lane partials (a dense fp16 update in
+  // each round routes the flush through the lanes).
+  ThreadPool pool(4);
+  for (ThreadPool* lanes : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(lanes ? "ThreadPool(4)" : "no pool");
+    BlobStore store;
+    const AggregationConfig config = ThresholdConfig(25, false);
+    std::vector<Delivery> stream;
+    for (std::uint64_t id = 1; id <= 20; ++id) {
+      ml::LrModel model(kDim);
+      model.weights()[id % kDim] = static_cast<float>(id) * 0.75f;
+      model.bias() = static_cast<float>(id);
+      const auto codec = id % 7 == 0 ? ml::PayloadCodec::kFp16
+                                     : ml::PayloadCodec::kFp32;
+      flow::Message m = Raw(store, model.ToBytes(codec), id);
+      m.sample_count = 1 + id % 9;
+      stream.push_back({std::move(m), Seconds(static_cast<double>(id))});
+    }
+    ReferenceAggregation reference(store, config);
+    reference.Replay(stream);
+    ASSERT_GT(reference.history().size(), 1u);
+
+    AggregationService service(loop_, store, config);
+    service.set_thread_pool(lanes);
+    const std::shared_ptr<const ml::LrModel> decoded_against =
+        service.global_model_shared();
+    Feed(service, store, stream, /*per_message=*/false);
+    EXPECT_NE(service.global_model_shared(), decoded_against);
+    ExpectMatchesReference(service, store, reference);
+    EXPECT_TRUE(service.AggregateNow());
+    EXPECT_TRUE(reference.Close(loop_.Now()));
+    ExpectMatchesReference(service, store, reference);
+  }
+}
+
+TEST_F(RelativeDecodeTest, MidRoundSnapshotWithRelativeUpdatesRestores) {
+  // Round 2 runs from a published model with many nonzero weights; its
+  // updates each touch one weight of it, so the base's share of the sum
+  // is real. The snapshot is cut with relative updates flushed (past the
+  // flush cap) and staged: the image must fold the base's share, and the
+  // restored service publishes the oracle's bits.
+  const AggregationConfig config = ThresholdConfig(100000);
+  AggregationService first(loop_, store_, config);
+  ReferenceAggregation reference(store_, config);
+  std::uint64_t id = 1;
+  auto deliver = [&](AggregationService& service, const ml::LrModel& model,
+                     std::size_t round) {
+    flow::Message m = Raw(store_, model.ToBytes(), id, round);
+    m.sample_count = 1 + id % 5;
+    const SimTime arrival = Seconds(static_cast<double>(id++));
+    service.Deliver(m, arrival);
+    reference.Deliver(m, arrival);
+  };
+  for (std::uint32_t i = 0; i < kDim; ++i) {
+    ml::LrModel model(kDim);
+    model.weights()[i] = static_cast<float>(i + 1) / 3.0f;
+    deliver(first, model, 0);
+  }
+  ASSERT_TRUE(first.AggregateNow());
+  ASSERT_TRUE(reference.Close(loop_.Now()));
+  const ml::LrModel global = first.global_model();
+
+  auto client = [&](std::uint64_t k) {
+    ml::LrModel model = global;
+    model.weights()[k % kDim] += static_cast<float>(k % 13) - 6.5f;
+    model.bias() = static_cast<float>(k);
+    return model;
+  };
+  for (std::uint64_t k = 0; k < 270; ++k) deliver(first, client(k), 1);
+  AggregationService recovered(loop_, store_, config);
+  recovered.RestoreSnapshot(first.Snapshot());
+  for (std::uint64_t k = 270; k < 300; ++k) deliver(recovered, client(k), 1);
+  EXPECT_TRUE(recovered.AggregateNow());
+  EXPECT_TRUE(reference.Close(loop_.Now()));
+  ExpectMatchesReference(recovered, store_, reference);
 }
 
 }  // namespace

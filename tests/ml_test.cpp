@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "common/rng.h"
 #include "data/synth_avazu.h"
@@ -891,6 +892,301 @@ TEST(FedAvgKernelTest, CascadeTracksExactSumOfCancellingTerms) {
   }
   kernels::CascadeAddScalar(big, -1e16, sum, c1, c2);
   EXPECT_EQ(kernels::CascadeValue(sum[0], c1[0], c2[0]), 1000.0);
+}
+
+
+// ---------- Relative (base-delta) accumulate ----------
+
+// A global model with full-significand weights of mixed magnitude and a
+// nonzero bias — the base relative updates fold against.
+std::shared_ptr<const LrModel> RelativeBase(std::uint32_t dim,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  auto base = std::make_shared<LrModel>(dim);
+  for (float& w : base->weights()) {
+    const double scale = std::pow(10.0, static_cast<double>(rng() % 7) - 3.0);
+    w = static_cast<float>(
+        (static_cast<double>(rng() % 2000001) - 1000000.0) / 7.0 * scale);
+  }
+  base->bias() = 0.25f;
+  return base;
+}
+
+// `count` clients trained from `base`: each rewrites `touched` random
+// weights (adversarial magnitudes) and the bias; every other weight stays
+// bit-equal to the base, as after local SGD without a regulariser.
+std::vector<ClientUpdate> SparseClients(const LrModel& base, std::size_t count,
+                                        std::size_t touched,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ClientUpdate> clients;
+  for (std::size_t k = 0; k < count; ++k) {
+    ClientUpdate u{base, 1 + static_cast<std::size_t>(rng() % 997),
+                   static_cast<std::uint64_t>(k)};
+    for (std::size_t t = 0; t < touched; ++t) {
+      const double magnitude =
+          std::pow(10.0, static_cast<double>(rng() % 13) - 6.0);
+      const double sign = (rng() & 1) ? 1.0 : -1.0;
+      u.model.weights()[rng() % base.dim()] =
+          static_cast<float>(sign * magnitude);
+    }
+    u.model.bias() =
+        static_cast<float>(static_cast<double>(rng() % 2000) - 1000.0);
+    clients.push_back(std::move(u));
+  }
+  return clients;
+}
+
+// The relative form of `model` against `base`, through the wire decoder.
+RelativeModel Relative(const LrModel& model,
+                       const std::shared_ptr<const LrModel>& base) {
+  const auto relative = LrModel::DecodeRelative(model.ToBytes(), base);
+  EXPECT_NE(relative, nullptr);
+  return relative != nullptr ? *relative : RelativeModel{base, {}, {}, 0.0f};
+}
+
+// Raw IEEE bits of every weight and the bias (NaN- and signed-zero-exact).
+std::vector<std::uint32_t> ModelBits(const LrModel& model) {
+  std::vector<std::uint32_t> bits;
+  for (const float w : model.weights()) {
+    bits.push_back(std::bit_cast<std::uint32_t>(w));
+  }
+  bits.push_back(std::bit_cast<std::uint32_t>(model.bias()));
+  return bits;
+}
+
+std::vector<std::uint32_t> DenseBits(std::span<const ClientUpdate> clients) {
+  auto model = FedAvg(clients);
+  EXPECT_TRUE(model.ok());
+  return model.ok() ? ModelBits(*model) : std::vector<std::uint32_t>{};
+}
+
+std::vector<std::uint32_t> AggregateBitsOf(const FedAvgAggregator& agg) {
+  auto model = agg.Aggregate();
+  EXPECT_TRUE(model.ok());
+  return model.ok() ? ModelBits(*model) : std::vector<std::uint32_t>{};
+}
+
+TEST(FedAvgRelativeTest, AllRelativeMatchesDenseBitForBit) {
+  const auto base = RelativeBase(256, 0x5EED);
+  const auto clients = SparseClients(*base, 120, 12, 0xA11);
+  FedAvgAggregator relative(256);
+  relative.SetBase(base);
+  for (const auto& c : clients) {
+    ASSERT_TRUE(relative.AddRelative(Relative(c.model, base), c.sample_count)
+                    .ok());
+  }
+  EXPECT_EQ(relative.clients(), clients.size());
+  EXPECT_EQ(relative.base_samples(), relative.total_samples());
+  EXPECT_EQ(AggregateBitsOf(relative), DenseBits(clients));
+}
+
+TEST(FedAvgRelativeTest, MixedRelativeAndDenseMatchesDense) {
+  const auto base = RelativeBase(200, 0x1234);
+  const auto clients = SparseClients(*base, 90, 20, 0xB22);
+  FedAvgAggregator mixed(200);
+  mixed.SetBase(base);
+  std::size_t relative_samples = 0;
+  for (std::size_t k = 0; k < clients.size(); ++k) {
+    const ClientUpdate& c = clients[k];
+    if (k % 3 == 0) {
+      ASSERT_TRUE(mixed.Add(c.model, c.sample_count).ok());
+    } else {
+      ASSERT_TRUE(
+          mixed.AddRelative(Relative(c.model, base), c.sample_count).ok());
+      relative_samples += c.sample_count;
+    }
+  }
+  EXPECT_EQ(mixed.base_samples(), relative_samples);
+  EXPECT_EQ(AggregateBitsOf(mixed), DenseBits(clients));
+}
+
+TEST(FedAvgRelativeTest, BaseMismatchMaterialisesAndMatchesDense) {
+  // Same bits, different object: the pointer check fails and every update
+  // takes the dense path — as when a round closes between decode and
+  // admission. A base switched mid-round folds the samples it owes first.
+  const auto base = RelativeBase(128, 0x77);
+  const auto twin = std::make_shared<const LrModel>(*base);
+  const auto clients = SparseClients(*base, 60, 8, 0xC33);
+  const auto want = DenseBits(clients);
+
+  FedAvgAggregator no_base(128);
+  FedAvgAggregator other_base(128);
+  other_base.SetBase(twin);
+  for (const auto& c : clients) {
+    const RelativeModel update = Relative(c.model, base);
+    ASSERT_TRUE(no_base.AddRelative(update, c.sample_count).ok());
+    ASSERT_TRUE(other_base.AddRelative(update, c.sample_count).ok());
+  }
+  EXPECT_EQ(no_base.base_samples(), 0u);
+  EXPECT_EQ(other_base.base_samples(), 0u);
+  EXPECT_EQ(AggregateBitsOf(no_base), want);
+  EXPECT_EQ(AggregateBitsOf(other_base), want);
+
+  FedAvgAggregator switched(128);
+  switched.SetBase(base);
+  for (std::size_t k = 0; k < clients.size(); ++k) {
+    if (k == clients.size() / 2) {
+      ASSERT_GT(switched.base_samples(), 0u);
+      switched.SetBase(twin);
+      EXPECT_EQ(switched.base_samples(), 0u);
+    }
+    ASSERT_TRUE(switched
+                    .AddRelative(Relative(clients[k].model, base),
+                                 clients[k].sample_count)
+                    .ok());
+  }
+  EXPECT_EQ(AggregateBitsOf(switched), want);
+}
+
+TEST(FedAvgRelativeTest, MergeFromPartialsMatchesDense) {
+  const auto base = RelativeBase(96, 0x99);
+  const auto clients = SparseClients(*base, 96, 10, 0xD44);
+  const auto want = DenseBits(clients);
+  for (const std::size_t shards : {2u, 3u, 4u, 8u}) {
+    std::vector<FedAvgAggregator> partials;
+    for (std::size_t s = 0; s < shards; ++s) {
+      partials.emplace_back(96);
+      partials.back().SetBase(base);
+    }
+    for (std::size_t k = 0; k < clients.size(); ++k) {
+      FedAvgAggregator& lane = partials[k % shards];
+      if (k % 5 == 0) {
+        ASSERT_TRUE(lane.Add(clients[k].model, clients[k].sample_count).ok());
+      } else {
+        ASSERT_TRUE(lane.AddRelative(Relative(clients[k].model, base),
+                                     clients[k].sample_count)
+                        .ok());
+      }
+    }
+    FedAvgAggregator merged(96);
+    merged.SetBase(base);
+    std::size_t base_samples = 0;
+    for (const auto& partial : partials) {
+      merged.MergeFrom(partial);
+      base_samples += partial.base_samples();
+    }
+    EXPECT_EQ(merged.base_samples(), base_samples);
+    EXPECT_EQ(AggregateBitsOf(merged), want) << shards << " shards";
+  }
+}
+
+TEST(FedAvgRelativeTest, SnapshotRestoreMidRoundContinuesIdentically) {
+  // A checkpoint cut while relative samples are owed: the image is the
+  // folded dense cascade, Restore zeroes the count, and a restored
+  // aggregator that keeps going publishes what the original does.
+  const auto base = RelativeBase(64, 0xABC);
+  const auto clients = SparseClients(*base, 50, 6, 0xE55);
+  const std::size_t cut = 23;
+  FedAvgAggregator original(64);
+  original.SetBase(base);
+  for (std::size_t k = 0; k < cut; ++k) {
+    ASSERT_TRUE(original
+                    .AddRelative(Relative(clients[k].model, base),
+                                 clients[k].sample_count)
+                    .ok());
+  }
+  ASSERT_GT(original.base_samples(), 0u);
+
+  FedAvgAggregator image = original;
+  image.FoldBase();
+  EXPECT_EQ(image.base_samples(), 0u);
+  FedAvgAggregator restored(64);
+  restored.SetBase(base);
+  ASSERT_TRUE(restored.AddRelative(Relative(clients[0].model, base), 1).ok());
+  restored.Restore(image.accumulator(), image.compensation1(),
+                   image.compensation2(), image.bias_accumulator(),
+                   image.bias_compensation1(), image.bias_compensation2(),
+                   image.total_samples(), image.clients());
+  EXPECT_EQ(restored.base_samples(), 0u);
+  EXPECT_EQ(restored.total_samples(), original.total_samples());
+  EXPECT_EQ(AggregateBitsOf(restored), AggregateBitsOf(original));
+
+  for (std::size_t k = cut; k < clients.size(); ++k) {
+    const RelativeModel update = Relative(clients[k].model, base);
+    ASSERT_TRUE(original.AddRelative(update, clients[k].sample_count).ok());
+    ASSERT_TRUE(restored.AddRelative(update, clients[k].sample_count).ok());
+  }
+  const auto want = DenseBits(clients);
+  EXPECT_EQ(AggregateBitsOf(original), want);
+  EXPECT_EQ(AggregateBitsOf(restored), want);
+}
+
+TEST(FedAvgRelativeTest, BaseSampleTotalPast2To29SplitsIntoExactLimbs) {
+  // Relative clients owe base·W with W > 2^29 (odd, 30 significant bits),
+  // and dense clients holding -base cancel all but one sample of it, so
+  // the published weight is base[j] / (2W - 1). A single rounded
+  // base[j]·W product would be off by up to W·2^-54 ≈ 2^-24 relative to
+  // that result — visible in the float.
+  const auto base = RelativeBase(64, 0xF00);
+  std::vector<ClientUpdate> clients;
+  const std::size_t kBig = (std::size_t{1} << 28) + 12345;
+  std::size_t relative_total = 0;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    ClientUpdate u{*base, kBig + 2 * k, k};
+    u.model.weights()[k] = 1.5f;
+    relative_total += u.sample_count;
+    clients.push_back(std::move(u));
+  }
+  ASSERT_GT(relative_total, std::size_t{1} << 29);
+  ASSERT_EQ(relative_total % 2, 1u);
+  LrModel negated = *base;
+  for (float& w : negated.weights()) w = -w;
+  std::size_t dense_left = relative_total - 1;
+  for (std::uint64_t k = 3; dense_left > 0; ++k) {
+    const std::size_t w = std::min(dense_left, kBig);
+    clients.push_back({negated, w, k});
+    dense_left -= w;
+  }
+
+  FedAvgAggregator agg(64);
+  agg.SetBase(base);
+  for (const auto& c : clients) {
+    const Status added =
+        c.client_id < 3
+            ? agg.AddRelative(Relative(c.model, base), c.sample_count)
+            : agg.Add(c.model, c.sample_count);
+    ASSERT_TRUE(added.ok());
+  }
+  EXPECT_EQ(agg.base_samples(), relative_total);
+  const auto want = DenseBits(clients);
+  EXPECT_EQ(AggregateBitsOf(agg), want);
+  // The fold (what a snapshot serializes) splits the count the same way.
+  FedAvgAggregator folded = agg;
+  folded.FoldBase();
+  EXPECT_EQ(AggregateBitsOf(folded), want);
+}
+
+TEST(FedAvgRelativeTest, SignedZeroAndNaNPayloadWordsAreDifferences) {
+  // Words are compared as bits, not as floats: -0.0 vs +0.0 and two NaNs
+  // with different payloads are differences; a bit-equal NaN is not.
+  auto base = std::make_shared<LrModel>(*RelativeBase(40, 0x0D));
+  base->weights()[1] = 0.0f;
+  base->weights()[2] = -0.0f;
+  base->weights()[3] = std::bit_cast<float>(0x7FC00001u);
+  base->weights()[4] = std::bit_cast<float>(0x7FC00002u);
+  LrModel client = *base;
+  client.weights()[1] = -0.0f;
+  client.weights()[2] = 0.0f;
+  client.weights()[3] = std::bit_cast<float>(0x7FC00003u);
+  client.weights()[37] = 2.0f;  // a word in the partial tail block
+  const std::shared_ptr<const LrModel> shared = base;
+  const RelativeModel relative = Relative(client, shared);
+  EXPECT_EQ(relative.index, (std::vector<std::uint32_t>{1, 2, 3, 37}));
+  ASSERT_EQ(relative.value.size(), 4u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(relative.value[0]), 0x80000000u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(relative.value[1]), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(relative.value[2]), 0x7FC00003u);
+  auto decoded = LrModel::FromBytes(client.ToBytes());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(ModelBits(relative.Materialize()), ModelBits(*decoded));
+
+  const std::vector<ClientUpdate> clients = {{client, 3, 0}, {*base, 2, 1}};
+  FedAvgAggregator agg(40);
+  agg.SetBase(shared);
+  ASSERT_TRUE(agg.AddRelative(relative, 3).ok());
+  ASSERT_TRUE(agg.AddRelative(Relative(*base, shared), 2).ok());
+  EXPECT_EQ(AggregateBitsOf(agg), DenseBits(clients));
 }
 
 }  // namespace
