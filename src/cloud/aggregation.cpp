@@ -195,9 +195,14 @@ Status AggregationService::AddStaged(ml::FedAvgAggregator& aggregator,
 void AggregationService::FlushPending() {
   if (pending_.empty()) return;
   const std::uint64_t t0 = NowNs();
+  // A relative update against an older base (admitted after its round
+  // closed mid-tick) materialises in AddRelative — O(dim), like a dense add
+  // — so it counts as dense here and goes to the lanes with the others.
   const bool any_dense = std::any_of(
-      pending_.begin(), pending_.end(),
-      [](const StagedUpdate& staged) { return staged.model != nullptr; });
+      pending_.begin(), pending_.end(), [this](const StagedUpdate& staged) {
+        return staged.model != nullptr ||
+               staged.relative->base != aggregator_.base();
+      });
   const std::size_t lanes =
       pool_ && any_dense
           ? std::min({pool_->size(), pending_.size(), kMaxLanes})
@@ -210,6 +215,7 @@ void AggregationService::FlushPending() {
                                   << added.error().ToString());
     }
   } else {
+    ++lane_flushes_;
     while (partials_.size() < lanes) {
       partials_.emplace_back(config_.model_dim);
     }

@@ -210,6 +210,9 @@ class AggregationService final : public flow::CloudEndpoint {
   /// Batched-delivery handler time minus the accumulate share: admission,
   /// staleness verdicts, counter commits, staging.
   std::uint64_t serial_bookkeeping_ns() const { return serial_bookkeeping_ns_; }
+  /// Flushes that ran on per-lane partials on the pool (the rest folded
+  /// serially). Observability only, not part of any bit-identity surface.
+  std::size_t lane_flushes() const { return lane_flushes_; }
 
   /// Bit-exact state image for checkpointing (see AggregationSnapshot).
   AggregationSnapshot Snapshot() const;
@@ -247,9 +250,11 @@ class AggregationService final : public flow::CloudEndpoint {
   /// the combined (flushed + staged) totals, flush at capacity.
   void DeliverDecodedOne(const flow::DecodedUpdate& update, SimTime arrival);
   /// Drains staged entries into the aggregator: serially without a pool or
-  /// when every entry is relative (O(nnz) each — a lane merge would cost
-  /// O(lanes·dim) more), else via per-lane partials on the pool merged in
-  /// ascending-lane order. Bit-invisible either way (see ml/fedavg.h).
+  /// when every entry is relative to the aggregator's base (O(nnz) each — a
+  /// lane merge would cost O(lanes·dim) more), else via per-lane partials on
+  /// the pool merged in ascending-lane order. Dense updates and relative
+  /// ones against an older base (O(dim) to materialise) both pick the
+  /// lanes. Bit-invisible either way (see ml/fedavg.h).
   void FlushPending();
   /// Drops staged entries (round abort / snapshot restore).
   void DiscardPending();
@@ -308,6 +313,8 @@ class AggregationService final : public flow::CloudEndpoint {
   /// Wall-clock profiling totals (see the accessors).
   std::uint64_t serial_accumulate_ns_ = 0;
   std::uint64_t serial_bookkeeping_ns_ = 0;
+  /// Flushes that took the pool lanes (see lane_flushes()).
+  std::size_t lane_flushes_ = 0;
   bool stopped_ = false;
 };
 

@@ -454,10 +454,17 @@ class AggregationTest : public ::testing::Test {
  protected:
   static constexpr std::uint32_t kDim = 16;
 
+  /// A valid update setting weight 0 — or, with `dense`, every weight, so
+  /// it differs from any global model in more than dim/8 words and decodes
+  /// densely rather than relative to the service's base.
   flow::Message Upload(BlobStore& store, float weight0, std::size_t samples,
-                       std::uint64_t id, std::size_t round = 0) {
+                       std::uint64_t id, std::size_t round = 0,
+                       bool dense = false) {
     ml::LrModel model(kDim);
     model.weights()[0] = weight0;
+    for (std::uint32_t j = 1; dense && j < kDim; ++j) {
+      model.weights()[j] = weight0 * 0.5f + static_cast<float>(j) * 0.25f;
+    }
     flow::Message m;
     m.id = MessageId(id);
     m.task = TaskId(1);
@@ -505,20 +512,22 @@ class AggregationTest : public ::testing::Test {
 
   /// Feeds `stream` to `service` as one decoded tick (payloads decoded
   /// upstream, as dispatch ticks do) or message by message through
-  /// Deliver (which decodes in the handler).
+  /// Deliver (which decodes in the handler against the service's model).
+  /// With `relative`, the tick is decoded against the service's global
+  /// model at feed time, as the engine's dispatch-tick decoder is (a round
+  /// closing mid-tick leaves the rest of the tick relative to the previous
+  /// model); without, every payload decodes densely.
   static void Feed(AggregationService& service, const BlobStore& store,
-                   std::span<const Delivery> stream, bool per_message) {
+                   std::span<const Delivery> stream, bool per_message,
+                   bool relative = true) {
     if (per_message) {
       for (const Delivery& delivery : stream) {
         service.Deliver(delivery.message, delivery.arrival);
       }
       return;
     }
-    // Decoded against the service's global model at feed time, as the
-    // engine's dispatch-tick decoder is; a round closing mid-tick leaves
-    // the rest of the tick relative to the previous model.
     BlobModelDecoder decoder(store);
-    decoder.set_base(service.global_model_shared());
+    if (relative) decoder.set_base(service.global_model_shared());
     std::vector<flow::DecodedUpdate> updates;
     std::vector<SimTime> arrivals;
     for (const Delivery& delivery : stream) {
@@ -528,22 +537,34 @@ class AggregationTest : public ::testing::Test {
     service.DeliverDecodedBatch(updates, arrivals);
   }
 
-  /// Runs `stream` through a fresh service (both delivery entry points)
-  /// and through the oracle, and asserts they agree — then, with
-  /// `close_open_round`, publishes the open round on both and asserts
-  /// again. Returns the oracle as of the end of the stream.
+  /// Runs `stream` through a fresh service (Deliver, and a decoded tick
+  /// decoded both relative to the service's model and densely) and through
+  /// the oracle, and asserts they agree — then, with `close_open_round`,
+  /// publishes the open round on both and asserts again. With a `pool`,
+  /// every feed must flush through the pool lanes at least once. Returns
+  /// the oracle as of the end of the stream.
   ReferenceAggregation ExpectStreamMatchesReference(
       BlobStore& store, const AggregationConfig& config,
       std::span<const Delivery> stream, ThreadPool* pool = nullptr,
       bool close_open_round = false) {
     ReferenceAggregation reference(store, config);
     reference.Replay(stream);
-    for (const bool per_message : {false, true}) {
-      SCOPED_TRACE(per_message ? "Deliver" : "DeliverDecodedBatch");
+    struct Mode {
+      const char* name;
+      bool per_message;
+      bool relative;
+    };
+    for (const Mode mode : {Mode{"DeliverDecodedBatch relative", false, true},
+                            Mode{"DeliverDecodedBatch dense", false, false},
+                            Mode{"Deliver", true, true}}) {
+      SCOPED_TRACE(mode.name);
       AggregationService service(loop_, store, config);
       service.set_thread_pool(pool);
-      Feed(service, store, stream, per_message);
+      Feed(service, store, stream, mode.per_message, mode.relative);
       ExpectMatchesReference(service, store, reference);
+      if (pool != nullptr) {
+        EXPECT_GT(service.lane_flushes(), 0u);
+      }
       if (!close_open_round) continue;
       ReferenceAggregation closed = reference;
       EXPECT_TRUE(closed.Close(loop_.Now()));
@@ -554,7 +575,9 @@ class AggregationTest : public ::testing::Test {
   }
 
   /// Failure-mix stream, one message per second: `valid_count` valid
-  /// updates of varied magnitude and sample count, interleaved with a
+  /// updates of varied magnitude and sample count (every third one dense,
+  /// the rest single-weight, so relative decodes, dense decodes and pool
+  /// lanes holding both all occur), interleaved with a
   /// corrupt blob, a missing blob, a wrong-dimension model and a payload
   /// whose read faults (store error). With `stale`, always-stale updates
   /// carrying valid, corrupt and missing payloads ride along. Fresh
@@ -585,7 +608,7 @@ class AggregationTest : public ::testing::Test {
     for (std::size_t k = 0; k < valid_count; ++k) {
       const float w = static_cast<float>((k % 17) * 1000.0 - 8000.0) +
                       static_cast<float>(k) * 1e-4f;
-      push(Upload(store, w, 1 + k % 7, id), true);
+      push(Upload(store, w, 1 + k % 7, id, 0, /*dense=*/k % 3 == 1), true);
       if (k == valid_count / 5) push(Raw(store, Bytes({1, 2, 3}), id), true);
       if (k == valid_count / 4) push(Missing(id), true);
       if (k == valid_count / 3) {
@@ -938,7 +961,9 @@ TEST_F(AggregationPartialSumTest, MatchesLegacyPlaneAcrossFailuresAndRounds) {
 TEST_F(AggregationPartialSumTest, ParallelFlushMatchesLegacyBitForBit) {
   // More admitted updates per round than the service's flush cap (256), so
   // capacity flushes split every round — serially with no pool, across
-  // ThreadPool(4) lanes with one — and the open round is published too.
+  // ThreadPool(4) lanes with one (every flush holds dense updates, so it
+  // takes the lanes, mixing relative and dense adds in each lane) — and
+  // the open round is published too.
   ThreadPool pool(4);
   for (ThreadPool* lanes : {static_cast<ThreadPool*>(nullptr), &pool}) {
     SCOPED_TRACE(lanes ? "ThreadPool(4)" : "no pool");
@@ -1207,6 +1232,41 @@ TEST_F(RelativeDecodeTest, RoundClosingBetweenDecodeAndAdmissionFallsBack) {
     EXPECT_TRUE(service.AggregateNow());
     EXPECT_TRUE(reference.Close(loop_.Now()));
     ExpectMatchesReference(service, store, reference);
+  }
+}
+
+TEST_F(RelativeDecodeTest, StaleBaseRelativeUpdatesFlushOnLanes) {
+  // All-fp32 single-weight updates decode relative. While they share the
+  // aggregator's base the flush folds them serially; once a round closes
+  // mid-tick, the rest of the tick is relative to the old base, must
+  // materialise (O(dim) each) and so takes the pool lanes like dense
+  // updates. Both sides publish the oracle's bits.
+  ThreadPool pool(4);
+  for (const std::size_t threshold : {std::size_t{1000}, std::size_t{25}}) {
+    SCOPED_TRACE(testing::Message() << "threshold " << threshold);
+    BlobStore store;
+    const AggregationConfig config = ThresholdConfig(threshold, false);
+    std::vector<Delivery> stream;
+    for (std::uint64_t id = 1; id <= 20; ++id) {
+      stream.push_back({Upload(store, static_cast<float>(id) * 0.5f,
+                               1 + id % 5, id),
+                        Seconds(static_cast<double>(id))});
+    }
+    ReferenceAggregation reference(store, config);
+    reference.Replay(stream);
+    AggregationService service(loop_, store, config);
+    service.set_thread_pool(&pool);
+    Feed(service, store, stream, /*per_message=*/false);
+    EXPECT_TRUE(service.AggregateNow());
+    EXPECT_TRUE(reference.Close(loop_.Now()));
+    ExpectMatchesReference(service, store, reference);
+    if (threshold == 1000) {
+      EXPECT_EQ(reference.history().size(), 1u);
+      EXPECT_EQ(service.lane_flushes(), 0u);
+    } else {
+      EXPECT_GT(reference.history().size(), 2u);
+      EXPECT_GT(service.lane_flushes(), 0u);
+    }
   }
 }
 
