@@ -135,7 +135,7 @@ void BM_EventLoopThroughput(benchmark::State& state) {
 BENCHMARK(BM_EventLoopThroughput)->Arg(1024)->Arg(65536);
 
 void BM_Evaluate(benchmark::State& state) {
-  // Single-pass Evaluate: accuracy + logloss + AUC from one forward pass.
+  // Single-pass Evaluate: accuracy + logloss from one forward pass.
   const auto& dataset = Shards();
   ml::LrModel model(dataset.hash_dim);
   ml::ServerLrOperator op;
@@ -146,7 +146,7 @@ void BM_Evaluate(benchmark::State& state) {
   }
   for (auto _ : state) {
     const auto report = ml::Evaluate(model, pool);
-    benchmark::DoNotOptimize(report.auc);
+    benchmark::DoNotOptimize(report.logloss);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(pool.size()));

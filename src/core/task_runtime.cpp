@@ -92,12 +92,14 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
   }
 
   // Build the train-evaluation pool: a deterministic, capped sample of the
-  // union of device shards (Fig. 9b reports train accuracy).
+  // union of device shards (Fig. 9b reports train accuracy). An eval_cap of
+  // 0 leaves it empty without walking the dataset.
+  if (config_.eval_cap == 0) return;
   Rng pool_rng = Rng(config_.seed).Split("train-eval-pool");
   for (const auto& device : dataset_.devices) {
     for (const auto& example : device.examples) {
       if (train_eval_pool_.size() < config_.eval_cap) {
-        train_eval_pool_.push_back(example);
+        train_eval_pool_.push_back(&example);
       } else {
         // Approximate reservoir: each later example replaces a uniform
         // slot with fixed probability 1/8 (NOT the cap/seen schedule of a
@@ -105,7 +107,7 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
         // good enough for a smoothed train-metric pool, and deterministic.
         const auto j = static_cast<std::size_t>(pool_rng.UniformInt(
             0, static_cast<std::int64_t>(train_eval_pool_.size()) * 8));
-        if (j < train_eval_pool_.size()) train_eval_pool_[j] = example;
+        if (j < train_eval_pool_.size()) train_eval_pool_[j] = &example;
       }
     }
   }
@@ -581,12 +583,7 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
           RoundMetrics metrics;
           metrics.round = result_.rounds.size() + 1;
           metrics.time = loop_.Now();
-          const auto eval_test = ml::Evaluate(
-              service_->global_model(),
-              std::span(dataset_.test_set.data(),
-                        std::min(dataset_.test_set.size(), config_.eval_cap)));
-          metrics.test_accuracy = eval_test.accuracy;
-          metrics.test_logloss = eval_test.logloss;
+          EvaluateInto(service_->global_model(), false, metrics);
           result_.rounds.push_back(metrics);
           last_recorded_round_ = round + 1;
           RecordRoundLatency(metrics.time);
@@ -617,12 +614,7 @@ void TaskRuntime::OnRoundAborted(SimTime when) {
   RoundMetrics metrics;
   metrics.round = result_.rounds.size() + 1;
   metrics.time = when;
-  const auto eval_test = ml::Evaluate(
-      service_->global_model(),
-      std::span(dataset_.test_set.data(),
-                std::min(dataset_.test_set.size(), config_.eval_cap)));
-  metrics.test_accuracy = eval_test.accuracy;
-  metrics.test_logloss = eval_test.logloss;
+  EvaluateInto(service_->global_model(), false, metrics);
   result_.rounds.push_back(metrics);
   last_recorded_round_ = rounds_started_;
   RecordRoundLatency(when);
@@ -630,6 +622,19 @@ void TaskRuntime::OnRoundAborted(SimTime when) {
     metrics_->RecordScalar("fl/round_aborted", when, 1.0);
   }
   StartRoundFrom(rounds_started_, std::max(loop_.Now(), when));
+}
+
+void TaskRuntime::EvaluateInto(const ml::LrModel& model, bool with_train,
+                               RoundMetrics& metrics) const {
+  const auto test = ml::Evaluate(
+      model, std::span(dataset_.test_set.data(),
+                       std::min(dataset_.test_set.size(), config_.eval_cap)));
+  metrics.test_accuracy = test.accuracy;
+  metrics.test_logloss = test.logloss;
+  if (!with_train) return;
+  const auto train = ml::Evaluate(model, train_eval_pool_);
+  metrics.train_accuracy = train.accuracy;
+  metrics.train_logloss = train.logloss;
 }
 
 void TaskRuntime::RecordRound(const cloud::AggregationRecord& record,
@@ -643,15 +648,7 @@ void TaskRuntime::RecordRound(const cloud::AggregationRecord& record,
   metrics.time = record.time;
   metrics.clients = record.clients;
   metrics.samples = record.samples;
-  const auto test_span =
-      std::span(dataset_.test_set.data(),
-                std::min(dataset_.test_set.size(), config_.eval_cap));
-  const auto test = ml::Evaluate(model, test_span);
-  metrics.test_accuracy = test.accuracy;
-  metrics.test_logloss = test.logloss;
-  const auto train = ml::Evaluate(model, train_eval_pool_);
-  metrics.train_accuracy = train.accuracy;
-  metrics.train_logloss = train.logloss;
+  EvaluateInto(model, true, metrics);
   result_.rounds.push_back(metrics);
   last_recorded_round_ = rounds_started_;
   RecordRoundLatency(record.time);

@@ -332,6 +332,11 @@ class TaskRuntime {
   /// model, no aggregation) and advances to the next round — the abort
   /// analogue of the stall guard's empty-round close.
   void OnRoundAborted(SimTime when);
+  /// Books `model`'s test metrics (test set capped at eval_cap) into
+  /// `metrics`, and its train metrics on the train-eval pool when
+  /// `with_train`.
+  void EvaluateInto(const ml::LrModel& model, bool with_train,
+                    RoundMetrics& metrics) const;
   /// Binds the fault plane (link policy, availability and link-probability
   /// hooks) onto one dispatcher; called for every dispatcher at setup.
   void ConfigureLinkPlane(flow::Dispatcher& dispatcher);
@@ -400,8 +405,9 @@ class TaskRuntime {
   /// into the metrics DB (RecordRound books deltas per closing round).
   std::size_t booked_deadline_commits_ = 0;
   std::size_t booked_round_extensions_ = 0;
-  /// Training-set evaluation pool (capped union of device shards).
-  std::vector<data::Example> train_eval_pool_;
+  /// Training-set evaluation pool: a capped sample of the device shards,
+  /// pointing into dataset_ (which outlives the runtime).
+  std::vector<const data::Example*> train_eval_pool_;
   std::uint64_t next_message_id_ = 1;
   sim::EventHandle stall_event_ = 0;
   /// Durability plane (null when config_.durability.mode == kOff). The

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 namespace simdc::ml {
@@ -20,29 +19,6 @@ std::size_t g_auc_radix_threshold = 4096;
 std::size_t GetAucRadixThreshold() { return g_auc_radix_threshold; }
 void SetAucRadixThreshold(std::size_t min_examples) {
   g_auc_radix_threshold = min_examples;
-}
-
-double Accuracy(const LrModel& model, std::span<const data::Example> examples,
-                double threshold) {
-  if (examples.empty()) return 0.0;
-  std::size_t correct = 0;
-  for (const auto& example : examples) {
-    const bool predicted = model.Predict(example) >= threshold;
-    const bool actual = example.label > 0.5f;
-    correct += predicted == actual ? 1 : 0;
-  }
-  return static_cast<double>(correct) / static_cast<double>(examples.size());
-}
-
-double LogLoss(const LrModel& model,
-               std::span<const data::Example> examples) {
-  if (examples.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& example : examples) {
-    const double p = std::clamp(model.Predict(example), 1e-12, 1.0 - 1e-12);
-    total += example.label > 0.5f ? -std::log(p) : -std::log(1.0 - p);
-  }
-  return total / static_cast<double>(examples.size());
 }
 
 namespace {
@@ -148,38 +124,45 @@ double Auc(const LrModel& model, std::span<const data::Example> examples) {
   return AucFromScored(scored, positives);
 }
 
-EvalReport Evaluate(const LrModel& model,
-                    std::span<const data::Example> examples) {
-  // Hot path (called twice per FL round): score every example exactly once
-  // and derive all three metrics from that single forward pass, instead of
-  // the three independent passes Accuracy/LogLoss/Auc would make.
+namespace {
+
+const data::Example& Deref(const data::Example& example) { return example; }
+const data::Example& Deref(const data::Example* example) { return *example; }
+
+template <typename Examples>
+EvalReport EvaluateImpl(const LrModel& model, const Examples& examples) {
+  // Hot path (called twice per FL round): score every example exactly
+  // once and derive both metrics from that single forward pass.
   EvalReport report;
   report.examples = examples.size();
-  report.auc = 0.5;
   if (examples.empty()) return report;
 
-  std::vector<std::pair<double, bool>> scored;
-  scored.reserve(examples.size());
   std::size_t correct = 0;
-  std::size_t positives = 0;
   double total_logloss = 0.0;
-  for (const auto& example : examples) {
-    const double score = model.Score(example);
-    const double probability = 1.0 / (1.0 + std::exp(-score));
+  for (const auto& entry : examples) {
+    const data::Example& example = Deref(entry);
+    const double probability = 1.0 / (1.0 + std::exp(-model.Score(example)));
     const bool actual = example.label > 0.5f;
     correct += (probability >= 0.5) == actual ? 1 : 0;
     const double p = std::clamp(probability, 1e-12, 1.0 - 1e-12);
     total_logloss += actual ? -std::log(p) : -std::log(1.0 - p);
-    positives += actual ? 1 : 0;
-    scored.emplace_back(score, actual);
   }
   const auto n = static_cast<double>(examples.size());
   report.accuracy = static_cast<double>(correct) / n;
   report.logloss = total_logloss / n;
-  if (positives > 0 && positives < examples.size()) {
-    report.auc = AucFromScored(scored, positives);
-  }
   return report;
+}
+
+}  // namespace
+
+EvalReport Evaluate(const LrModel& model,
+                    std::span<const data::Example> examples) {
+  return EvaluateImpl(model, examples);
+}
+
+EvalReport Evaluate(const LrModel& model,
+                    std::span<const data::Example* const> examples) {
+  return EvaluateImpl(model, examples);
 }
 
 }  // namespace simdc::ml

@@ -1,4 +1,5 @@
-// Evaluation metrics for the CTR task: accuracy, log-loss and AUC.
+// Evaluation metrics for the CTR task: accuracy and log-loss per round
+// (Evaluate), AUC on demand (Auc).
 #pragma once
 
 #include <cstddef>
@@ -9,10 +10,10 @@
 
 namespace simdc::ml {
 
-/// Score count at or above which the AUC rank statistic ranks via an LSD
+/// Score count at or above which Auc's rank statistic ranks via an LSD
 /// radix sort over order-preserving 64-bit score keys instead of the
-/// comparison pair-sort (the eval bottleneck once scoring was cut to one
-/// pass). Both paths are EXACT and produce bit-identical AUC — the radix
+/// comparison pair-sort (the pair-sort dominates Auc at eval-cap sizes).
+/// Both paths are EXACT and produce bit-identical AUC — the radix
 /// key is the IEEE-754 bit pattern monotonically remapped, not a lossy
 /// quantization, and tie groups are still detected by score equality (so
 /// -0.0/+0.0 stay one group). Below the cap the comparison sort's cache
@@ -20,28 +21,27 @@ namespace simdc::ml {
 std::size_t GetAucRadixThreshold();
 void SetAucRadixThreshold(std::size_t min_examples);
 
-/// Fraction of examples where thresholded prediction matches the label.
-double Accuracy(const LrModel& model, std::span<const data::Example> examples,
-                double threshold = 0.5);
-
-/// Mean binary cross-entropy (clamped probabilities).
-double LogLoss(const LrModel& model, std::span<const data::Example> examples);
-
 /// Area under the ROC curve via the rank statistic (ties averaged).
 /// Returns 0.5 when one class is absent.
 double Auc(const LrModel& model, std::span<const data::Example> examples);
 
 struct EvalReport {
+  /// Fraction of examples whose 0.5-thresholded prediction matches the
+  /// label; 0 on an empty set.
   double accuracy = 0.0;
+  /// Mean binary cross-entropy (probabilities clamped to [1e-12,
+  /// 1 - 1e-12]); 0 on an empty set.
   double logloss = 0.0;
-  double auc = 0.0;
   std::size_t examples = 0;
 };
 
-/// Computes all three metrics from a single scoring pass over `examples`
-/// (identical results to calling Accuracy/LogLoss/Auc individually, at a
-/// third of the forward-pass cost).
+/// Accuracy and log-loss from a single scoring pass over `examples`, in
+/// example order. The pointer overload scores examples held elsewhere
+/// (e.g. a sample of a shared dataset) with the same bits as the
+/// contiguous one over the same examples.
 EvalReport Evaluate(const LrModel& model,
                     std::span<const data::Example> examples);
+EvalReport Evaluate(const LrModel& model,
+                    std::span<const data::Example* const> examples);
 
 }  // namespace simdc::ml

@@ -1,12 +1,19 @@
 // Tests for the FL engine and the Platform facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/fl_engine.h"
 #include "core/platform.h"
 #include "data/synth_avazu.h"
 #include "flow/rate_functions.h"
+#include "ml/lr_model.h"
+#include "ml/metrics.h"
 
 namespace simdc::core {
 namespace {
@@ -83,6 +90,49 @@ TEST(FlEngineTest, DeterministicAcrossRuns) {
     EXPECT_DOUBLE_EQ(a.rounds[i].test_accuracy, b.rounds[i].test_accuracy);
   }
   EXPECT_EQ(a.final_weights, b.final_weights);
+}
+
+TEST(FlEngineTest, TrainEvalPoolMatchesCopiedReservoir) {
+  // The runtime keeps its train-eval pool as pointers into the dataset.
+  // Rebuild the same approximate reservoir here from *copied* examples and
+  // check the last round's train metrics keep their bits. The cap sits
+  // below the dataset size so the replacement draws run.
+  sim::EventLoop loop;
+  const auto dataset = SmallDataset();
+  auto config = BaseConfig();
+  config.eval_cap = 300;
+  FlEngine engine(loop, dataset, config);
+  const auto result = engine.Run();
+  ASSERT_EQ(result.rounds.size(), 3u);
+
+  std::vector<data::Example> pool;
+  std::size_t seen = 0;
+  Rng pool_rng = Rng(config.seed).Split("train-eval-pool");
+  for (const auto& device : dataset.devices) {
+    for (const auto& example : device.examples) {
+      ++seen;
+      if (pool.size() < config.eval_cap) {
+        pool.push_back(example);
+      } else {
+        const auto j = static_cast<std::size_t>(pool_rng.UniformInt(
+            0, static_cast<std::int64_t>(pool.size()) * 8));
+        if (j < pool.size()) pool[j] = example;
+      }
+    }
+  }
+  ASSERT_GT(seen, config.eval_cap);
+
+  ml::LrModel model(static_cast<std::uint32_t>(result.final_weights.size()));
+  std::copy(result.final_weights.begin(), result.final_weights.end(),
+            model.weights().begin());
+  model.bias() = result.final_bias;
+  const auto expected = ml::Evaluate(model, pool);
+  const RoundMetrics& last = result.rounds.back();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(last.train_accuracy),
+            std::bit_cast<std::uint64_t>(expected.accuracy));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(last.train_logloss),
+            std::bit_cast<std::uint64_t>(expected.logloss));
+  EXPECT_GT(last.train_accuracy, 0.0);
 }
 
 TEST(FlEngineTest, SampleThresholdTriggerCountsSamples) {
