@@ -8,17 +8,14 @@ namespace simdc {
 
 std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("UniformInt: lo > hi");
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo overflows int64 for spans above 2^63.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (span == 0) {  // full 64-bit range
     return static_cast<std::int64_t>((*this)());
   }
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = max() - max() % span;
-  std::uint64_t draw;
-  do {
-    draw = (*this)();
-  } while (draw >= limit);
-  return lo + static_cast<std::int64_t>(draw % span);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   UniformBelow(*this, span));
 }
 
 double Rng::Normal() {

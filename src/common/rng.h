@@ -22,6 +22,24 @@ constexpr std::uint64_t SplitMix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Uniform value in [0, span), span >= 1, from the 64-bit draws of `gen`.
+/// Rejection sampling avoids modulo bias: draws at or above the largest
+/// multiple of span that fits, 2^64 - 1 - (2^64 - 1) % span, are rejected.
+/// A draw is there exactly when its own multiple, draw - draw % span,
+/// leaves no room for one more span below 2^64 - 1; testing that reuses
+/// the remainder the result needs, so each draw costs one division.
+template <typename Gen>
+std::uint64_t UniformBelow(Gen& gen, std::uint64_t span) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  std::uint64_t draw;
+  std::uint64_t remainder;
+  do {
+    draw = gen();
+    remainder = draw % span;
+  } while (draw - remainder > kMax - span);
+  return remainder;
+}
+
 /// Stable 64-bit FNV-1a hash of a string (used to derive stream labels).
 constexpr std::uint64_t HashString(std::string_view s) {
   std::uint64_t h = 0xCBF29CE484222325ULL;

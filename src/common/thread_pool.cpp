@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
 
 namespace simdc {
 
@@ -39,26 +41,71 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+namespace {
+
+/// State of one ParallelFor, shared by the caller and its helper jobs. A
+/// helper that starts after the loop has ended claims nothing, so `fn` is
+/// dereferenced only while the caller is still waiting for all_finished.
+struct ForkJoin {
+  ForkJoin(std::size_t count, const std::function<void(std::size_t)>& body)
+      : n(count), fn(&body) {}
+
+  /// Claims and runs indices until none are left. After a failure the
+  /// remaining indices are still claimed and counted, but not run.
+  void Drain() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      if (!failed.load(std::memory_order_acquire)) {
+        try {
+          (*fn)(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (!error) error = std::current_exception();
+          failed.store(true, std::memory_order_release);
+        }
+      }
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+        std::lock_guard<std::mutex> lock(mutex);
+        all_finished = true;
+        done.notify_one();
+      }
+    }
+  }
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> finished{0};
+  std::atomic<bool> failed{false};
+  std::mutex mutex;  // guards all_finished and error
+  std::condition_variable done;
+  bool all_finished = false;
+  std::exception_ptr error;
+};
+
+}  // namespace
+
 void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // Chunk so we enqueue at most one job per worker.
-  const std::size_t chunks = std::min(n, workers_.size());
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = n * c / chunks;
-    const std::size_t end = n * (c + 1) / chunks;
-    futures.push_back(Submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
+  const std::size_t helpers = std::min(n, workers_.size()) - 1;
+  if (helpers == 0) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
-  for (auto& f : futures) f.get();
-}
-
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
+  auto join = std::make_shared<ForkJoin>(n, fn);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t h = 0; h < helpers; ++h) {
+      queue_.emplace_back([join] { join->Drain(); });
+    }
+  }
+  for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
+  join->Drain();
+  std::unique_lock<std::mutex> lock(join->mutex);
+  join->done.wait(lock, [&] { return join->all_finished; });
+  if (join->error) std::rethrow_exception(join->error);
 }
 
 }  // namespace simdc

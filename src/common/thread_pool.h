@@ -39,18 +39,24 @@ class ThreadPool {
     return future;
   }
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
+  /// Runs fn(i) for every i in [0, n) and returns once all of them have
+  /// returned. The caller runs indices itself; at most
+  /// min(n, size()) - 1 helper jobs join it, so one call never occupies
+  /// more than size() threads. Indices are claimed one at a time, so a
+  /// slow index or a late-waking worker delays only its own claims. The
+  /// call never waits for a helper to start — it completes even when
+  /// every worker is busy, including inside another ParallelFor. If fn
+  /// throws, no further indices start, and the first exception is
+  /// rethrown once every index already started has returned. Which thread
+  /// runs an index is unspecified: fn must write only index-owned state.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Number of jobs waiting (not yet picked up).
-  std::size_t pending() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;

@@ -628,11 +628,12 @@ void TaskRuntime::EvaluateInto(const ml::LrModel& model, bool with_train,
                                RoundMetrics& metrics) const {
   const auto test = ml::Evaluate(
       model, std::span(dataset_.test_set.data(),
-                       std::min(dataset_.test_set.size(), config_.eval_cap)));
+                       std::min(dataset_.test_set.size(), config_.eval_cap)),
+      pool_);
   metrics.test_accuracy = test.accuracy;
   metrics.test_logloss = test.logloss;
   if (!with_train) return;
-  const auto train = ml::Evaluate(model, train_eval_pool_);
+  const auto train = ml::Evaluate(model, train_eval_pool_, pool_);
   metrics.train_accuracy = train.accuracy;
   metrics.train_logloss = train.logloss;
 }

@@ -334,7 +334,8 @@ class TaskRuntime {
   void OnRoundAborted(SimTime when);
   /// Books `model`'s test metrics (test set capped at eval_cap) into
   /// `metrics`, and its train metrics on the train-eval pool when
-  /// `with_train`.
+  /// `with_train`; both are scored across the training pool when there is
+  /// one, with the same bits as a serial pass.
   void EvaluateInto(const ml::LrModel& model, bool with_train,
                     RoundMetrics& metrics) const;
   /// Binds the fault plane (link policy, availability and link-probability

@@ -36,9 +36,9 @@ class ZipfSampler {
 };
 
 /// Ground-truth logistic weight for a (field, value) pair, derived
-/// deterministically from a hash so labels are globally consistent without
-/// materializing a weight table.
-double GroundTruthWeight(std::uint32_t field, std::uint32_t value) {
+/// deterministically from a hash so labels are globally consistent across
+/// devices and seeds.
+double HashedGroundTruthWeight(std::uint32_t field, std::uint32_t value) {
   const std::uint64_t h =
       SplitMix64((static_cast<std::uint64_t>(field) << 32) ^ value ^
                  0xA5A5A5A5DEADBEEFULL);
@@ -52,6 +52,23 @@ double GroundTruthWeight(std::uint32_t field, std::uint32_t value) {
   // Keep per-example score stddev ~0.5 over 22 fields.
   constexpr double kWeightStd = 0.105;
   return kWeightStd * normal;
+}
+
+/// HashedGroundTruthWeight for every (field, value) of the schema, indexed
+/// [field][value]; built on first use so a record costs table reads, not a
+/// log, sqrt and cos per feature.
+const std::vector<std::vector<double>>& GroundTruthWeights() {
+  static const std::vector<std::vector<double>> weights = [] {
+    std::vector<std::vector<double>> out(kAvazuFields.size());
+    for (std::uint32_t f = 0; f < kAvazuFields.size(); ++f) {
+      out[f].resize(kAvazuFields[f].cardinality);
+      for (std::uint32_t v = 0; v < kAvazuFields[f].cardinality; ++v) {
+        out[f][v] = HashedGroundTruthWeight(f, v);
+      }
+    }
+    return out;
+  }();
+  return weights;
 }
 
 double Logit(double p) {
@@ -124,6 +141,7 @@ Example MakeExample(Rng& rng, const DeviceProfile& profile,
   Example example;
   example.features.reserve(kAvazuFields.size());
   const auto& samplers = FieldSamplers();
+  const auto& weights = GroundTruthWeights();
   double score = 0.0;
   for (std::size_t f = 0; f < kAvazuFields.size(); ++f) {
     std::uint32_t value;
@@ -138,7 +156,7 @@ Example MakeExample(Rng& rng, const DeviceProfile& profile,
     }
     example.features.push_back(
         HashFeature(static_cast<std::uint32_t>(f), value, hash_dim));
-    score += GroundTruthWeight(static_cast<std::uint32_t>(f), value);
+    score += weights[f][value];
   }
   const double click_probability = Sigmoid(score + profile.bias);
   example.label = rng.Bernoulli(click_probability) ? 1.0f : 0.0f;

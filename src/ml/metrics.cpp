@@ -7,6 +7,8 @@
 #include <cstring>
 #include <vector>
 
+#include "common/thread_pool.h"
+
 namespace simdc::ml {
 
 namespace {
@@ -130,39 +132,65 @@ const data::Example& Deref(const data::Example& example) { return example; }
 const data::Example& Deref(const data::Example* example) { return *example; }
 
 template <typename Examples>
-EvalReport EvaluateImpl(const LrModel& model, const Examples& examples) {
+EvalReport EvaluateImpl(const LrModel& model, const Examples& examples,
+                        ThreadPool* pool) {
   // Hot path (called twice per FL round): score every example exactly
   // once and derive both metrics from that single forward pass.
   EvalReport report;
-  report.examples = examples.size();
-  if (examples.empty()) return report;
+  const std::size_t n = examples.size();
+  report.examples = n;
+  if (n == 0) return report;
 
-  std::size_t correct = 0;
-  double total_logloss = 0.0;
-  for (const auto& entry : examples) {
-    const data::Example& example = Deref(entry);
-    const double probability = 1.0 / (1.0 + std::exp(-model.Score(example)));
-    const bool actual = example.label > 0.5f;
-    correct += (probability >= 0.5) == actual ? 1 : 0;
-    const double p = std::clamp(probability, 1e-12, 1.0 - 1e-12);
-    total_logloss += actual ? -std::log(p) : -std::log(1.0 - p);
+  // Grains write only their own slots: each example's log-loss term and
+  // the grain's correct count. The term buffer is the calling thread's,
+  // reused across calls so a round's evaluations do not fault in fresh
+  // pages; grains on other threads reach it through `terms`, not by name.
+  const std::size_t grains = (n + kEvaluateGrain - 1) / kEvaluateGrain;
+  thread_local std::vector<double> scratch;
+  scratch.resize(n);
+  const std::span<double> terms(scratch);
+  std::vector<std::size_t> correct(grains);
+  const auto score_grain = [&](std::size_t grain) {
+    const std::size_t end = std::min(n, (grain + 1) * kEvaluateGrain);
+    std::size_t hits = 0;
+    for (std::size_t i = grain * kEvaluateGrain; i < end; ++i) {
+      const data::Example& example = Deref(examples[i]);
+      const double probability = 1.0 / (1.0 + std::exp(-model.Score(example)));
+      const bool actual = example.label > 0.5f;
+      hits += (probability >= 0.5) == actual ? 1 : 0;
+      const double p = std::clamp(probability, 1e-12, 1.0 - 1e-12);
+      terms[i] = actual ? -std::log(p) : -std::log(1.0 - p);
+    }
+    correct[grain] = hits;
+  };
+  if (pool != nullptr && grains > 1) {
+    pool->ParallelFor(grains, score_grain);
+  } else {
+    for (std::size_t grain = 0; grain < grains; ++grain) score_grain(grain);
   }
-  const auto n = static_cast<double>(examples.size());
-  report.accuracy = static_cast<double>(correct) / n;
-  report.logloss = total_logloss / n;
+
+  // Serial, in example order: the additions a single pass would make.
+  double total_logloss = 0.0;
+  for (const double term : terms) total_logloss += term;
+  std::size_t total_correct = 0;
+  for (const std::size_t hits : correct) total_correct += hits;
+  report.accuracy = static_cast<double>(total_correct) / static_cast<double>(n);
+  report.logloss = total_logloss / static_cast<double>(n);
   return report;
 }
 
 }  // namespace
 
 EvalReport Evaluate(const LrModel& model,
-                    std::span<const data::Example> examples) {
-  return EvaluateImpl(model, examples);
+                    std::span<const data::Example> examples,
+                    ThreadPool* pool) {
+  return EvaluateImpl(model, examples, pool);
 }
 
 EvalReport Evaluate(const LrModel& model,
-                    std::span<const data::Example* const> examples) {
-  return EvaluateImpl(model, examples);
+                    std::span<const data::Example* const> examples,
+                    ThreadPool* pool) {
+  return EvaluateImpl(model, examples, pool);
 }
 
 }  // namespace simdc::ml

@@ -8,6 +8,10 @@
 #include "data/example.h"
 #include "ml/lr_model.h"
 
+namespace simdc {
+class ThreadPool;
+}  // namespace simdc
+
 namespace simdc::ml {
 
 /// Score count at or above which Auc's rank statistic ranks via an LSD
@@ -35,13 +39,21 @@ struct EvalReport {
   std::size_t examples = 0;
 };
 
-/// Accuracy and log-loss from a single scoring pass over `examples`, in
-/// example order. The pointer overload scores examples held elsewhere
-/// (e.g. a sample of a shared dataset) with the same bits as the
-/// contiguous one over the same examples.
+/// Examples per scoring grain: the unit Evaluate hands to a pool thread.
+inline constexpr std::size_t kEvaluateGrain = 1000;
+
+/// Accuracy and log-loss from a single scoring pass over `examples`. With
+/// a `pool`, grains of kEvaluateGrain examples are scored across it; the
+/// per-example log-loss terms are then summed serially in example order,
+/// so the report has the same bits with or without a pool, at any pool
+/// size. The pointer overload scores examples held elsewhere (e.g. a
+/// sample of a shared dataset) with the same bits as the contiguous one
+/// over the same examples.
 EvalReport Evaluate(const LrModel& model,
-                    std::span<const data::Example> examples);
+                    std::span<const data::Example> examples,
+                    ThreadPool* pool = nullptr);
 EvalReport Evaluate(const LrModel& model,
-                    std::span<const data::Example* const> examples);
+                    std::span<const data::Example* const> examples,
+                    ThreadPool* pool = nullptr);
 
 }  // namespace simdc::ml

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/det_hash.h"
 #include "common/error.h"
@@ -134,6 +138,72 @@ TEST(RngTest, UniformIntBoundsInclusive) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 7u);  // all values hit
+}
+
+/// UniformInt's former rejection rule, two 64-bit divisions per draw:
+/// reject draws at or above the largest multiple of span that fits.
+bool TwoDivisionRejects(std::uint64_t draw, std::uint64_t span) {
+  return draw >= Rng::max() - Rng::max() % span;
+}
+
+std::int64_t TwoDivisionUniformInt(Rng& rng, std::int64_t lo, std::int64_t hi) {
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  std::uint64_t draw;
+  do {
+    draw = rng();
+  } while (TwoDivisionRejects(draw, span));
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + draw % span);
+}
+
+/// Replays a fixed list of 64-bit draws.
+struct ScriptedDraws {
+  std::vector<std::uint64_t> draws;
+  std::size_t next = 0;
+  std::uint64_t operator()() { return draws.at(next++); }
+};
+
+TEST(RngTest, UniformIntMatchesTwoDivisionOracleOnEdgeSpans) {
+  // Every power of two and its neighbours, spans dividing 2^64 - 1 (where
+  // the rejection limit is itself a multiple of span), the participant-draw
+  // span, and the spans just under 2^64 (the full range is its own branch).
+  std::vector<std::uint64_t> spans = {1,          3,         5,
+                                      17,         257,       65537,
+                                      4294967297, 50000,     Rng::max() / 3,
+                                      Rng::max() - 1, Rng::max()};
+  for (int k = 1; k < 64; ++k) {
+    const std::uint64_t power = std::uint64_t{1} << k;
+    spans.insert(spans.end(), {power - 1, power, power + 1});
+  }
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  for (const std::uint64_t span : spans) {
+    SCOPED_TRACE(span);
+    // Draws on both sides of the rejection limit and at the range ends:
+    // each is rejected exactly when the oracle rejects it.
+    const std::uint64_t limit = Rng::max() - Rng::max() % span;
+    for (const std::uint64_t draw :
+         {std::uint64_t{0}, span - 1, limit - 1, limit, limit + 1,
+          Rng::max() - 1, Rng::max()}) {
+      ScriptedDraws gen{{draw, 0}};
+      const std::uint64_t value = UniformBelow(gen, span);
+      const bool rejected = TwoDivisionRejects(draw, span);
+      EXPECT_EQ(gen.next, rejected ? 2u : 1u) << "draw " << draw;
+      EXPECT_EQ(value, rejected ? 0 : draw % span) << "draw " << draw;
+    }
+    // A random stream through UniformInt, [lo, lo + span - 1] placed so the
+    // wide spans reach the bottom of the int64 range. Spans just above a
+    // power of two above 2^62 reject up to half of all draws.
+    const std::int64_t lo = span > Rng::max() / 2 ? kMin : -7;
+    const auto hi = static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                              (span - 1));
+    Rng rng(span);
+    Rng oracle = rng;
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(rng.UniformInt(lo, hi), TwoDivisionUniformInt(oracle, lo, hi))
+          << "draw " << i;
+    }
+    EXPECT_EQ(rng(), oracle());  // same number of raw draws consumed
+  }
 }
 
 TEST(RngTest, UniformIntRejectsInvertedRange) {
@@ -546,6 +616,63 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
 TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [](std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPoolTest, ParallelForExceptionWaitsForClaimedWork) {
+  // Index 0 throws at once; every other index that starts sleeps before
+  // writing to the caller's frame. The throw must reach the caller only
+  // after each started index has returned, and stop further indices.
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 64;
+  std::vector<int> done(kN, 0);
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> finished{0};
+  EXPECT_THROW(pool.ParallelFor(kN,
+                                [&](std::size_t i) {
+                                  if (i == 0) throw std::runtime_error("boom");
+                                  ++started;
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(5));
+                                  done[i] = 1;
+                                  ++finished;
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), started.load());
+  EXPECT_LT(started.load(), kN - 1);
+  std::size_t written = 0;
+  for (const int d : done) written += static_cast<std::size_t>(d);
+  EXPECT_EQ(written, finished.load());
+}
+
+TEST(ThreadPoolTest, ParallelForNestedCompletes) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(8 * 8);
+  pool.ParallelFor(8, [&](std::size_t outer) {
+    pool.ParallelFor(8, [&](std::size_t inner) { hits[outer * 8 + inner]++; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsOnCallerWhenWorkersBusy) {
+  // Every worker is blocked on a latch, so ParallelFor must complete on
+  // the caller alone; on the wider pool its helper jobs stay queued until
+  // the latch opens and then find no work.
+  for (const std::size_t workers : {1, 3}) {
+    ThreadPool pool(workers);
+    std::promise<void> release;
+    std::shared_future<void> latch = release.get_future().share();
+    std::vector<std::future<void>> blocked;
+    for (std::size_t w = 0; w < workers; ++w) {
+      blocked.push_back(pool.Submit([latch] { latch.wait(); }));
+    }
+    std::vector<std::thread::id> ran_on(64);
+    pool.ParallelFor(ran_on.size(), [&](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+    });
+    release.set_value();
+    for (auto& f : blocked) f.get();
+    for (const auto id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 TEST(ThreadPoolTest, ManyConcurrentSubmissions) {

@@ -1,8 +1,11 @@
 // Unit tests for the synthetic Avazu-like dataset generator.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
+#include "common/rng.h"
 #include "data/schema.h"
 #include "data/sharding.h"
 #include "data/synth_avazu.h"
@@ -51,6 +54,51 @@ TEST(SynthAvazuTest, DeterministicInSeed) {
                 b.devices[d].examples[e].features);
       EXPECT_EQ(a.devices[d].examples[e].label, b.devices[d].examples[e].label);
     }
+  }
+}
+
+/// Digest over every generated feature, label, true CTR and response
+/// delay, in device then record order.
+std::uint64_t DatasetDigest(const FederatedDataset& dataset) {
+  std::uint64_t digest = 0;
+  const auto mix = [&](std::uint64_t value) {
+    digest = SplitMix64(digest ^ SplitMix64(value));
+  };
+  const auto mix_examples = [&](const std::vector<Example>& examples) {
+    mix(examples.size());
+    for (const Example& example : examples) {
+      for (const std::uint32_t feature : example.features) mix(feature);
+      mix(std::bit_cast<std::uint32_t>(example.label));
+    }
+  };
+  for (const DeviceData& device : dataset.devices) {
+    mix(device.device.value());
+    mix(std::bit_cast<std::uint64_t>(device.true_ctr));
+    mix(std::bit_cast<std::uint64_t>(device.response_delay_s));
+    mix_examples(device.examples);
+  }
+  mix_examples(dataset.test_set);
+  return digest;
+}
+
+/// DatasetDigest of SmallConfig's output per LabelDistribution (kIid,
+/// kNatural, kPolarized).
+constexpr std::uint64_t kPinnedDigest[] = {14194236321850823992ull,
+                                           15261328490411583347ull,
+                                           2762084472352552053ull};
+
+TEST(SynthAvazuTest, OutputDigestIsPinned) {
+  // Pins the generator's exact output, so a faster path (e.g. a table of
+  // the hashed ground-truth weights, or a cheaper UniformInt) must
+  // reproduce every record bit for bit.
+  for (const auto distribution :
+       {LabelDistribution::kIid, LabelDistribution::kNatural,
+        LabelDistribution::kPolarized}) {
+    auto config = SmallConfig();
+    config.distribution = distribution;
+    SCOPED_TRACE(static_cast<int>(distribution));
+    EXPECT_EQ(DatasetDigest(GenerateSyntheticAvazu(config)),
+              kPinnedDigest[static_cast<int>(distribution)]);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/synth_avazu.h"
 #include "ml/fedavg.h"
 #include "ml/lr_model.h"
@@ -646,6 +647,62 @@ TEST(MetricsTest, EvaluatePointerSpanMatchesContiguous) {
   ExpectPointerSpanMatchesContiguous(model, positives);
   ExpectPointerSpanMatchesContiguous(model, negatives);
   ExpectPointerSpanMatchesContiguous(model, std::span(positives).first(1));
+}
+
+/// Expects two doubles to have the same bits.
+void ExpectSameBits(double actual, double expected) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+            std::bit_cast<std::uint64_t>(expected))
+      << actual << " vs " << expected;
+}
+
+TEST(MetricsTest, PooledEvaluateMatchesSerial) {
+  // Scoring grains across a pool must not change a bit of either metric,
+  // for either overload, at any pool size: grain edges, a single example,
+  // the empty set, and a train-eval-pool-sized set of many grains.
+  constexpr std::uint32_t kDim = 512;
+  LrModel model(kDim);
+  Rng rng(31);
+  for (auto& w : model.weights()) {
+    w = static_cast<float>(rng.Normal(0.0, 0.9));
+  }
+  model.bias() = -0.6f;
+  std::vector<data::Example> examples;
+  for (int i = 0; i < 20011; ++i) {
+    std::vector<std::uint32_t> features;
+    for (int f = 0; f < 6; ++f) {
+      features.push_back(
+          static_cast<std::uint32_t>(rng.UniformInt(0, kDim - 1)));
+    }
+    examples.push_back(
+        MakeExample(std::move(features), rng.Bernoulli(0.25) ? 1 : 0));
+  }
+  std::vector<const data::Example*> pointers;
+  for (const auto& example : examples) pointers.push_back(&example);
+
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kEvaluateGrain - 1, kEvaluateGrain,
+        kEvaluateGrain + 1, examples.size()}) {
+    SCOPED_TRACE(n);
+    const auto contiguous = std::span<const data::Example>(examples).first(n);
+    const auto indirect =
+        std::span<const data::Example* const>(pointers).first(n);
+    const EvalReport serial = Evaluate(model, contiguous);
+    ExpectSameBits(serial.accuracy, Accuracy(model, contiguous));
+    ExpectSameBits(serial.logloss, LogLoss(model, contiguous));
+    for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+      SCOPED_TRACE(pool->size());
+      for (const EvalReport& pooled :
+           {Evaluate(model, contiguous, pool), Evaluate(model, indirect, pool)}) {
+        EXPECT_EQ(pooled.examples, n);
+        ExpectSameBits(pooled.accuracy, serial.accuracy);
+        ExpectSameBits(pooled.logloss, serial.logloss);
+      }
+    }
+  }
 }
 
 /// Runs `body` once per AUC rank path (comparison sort, radix) and
