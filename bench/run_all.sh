@@ -20,9 +20,8 @@
 # are measured against — bench/compare.py diffs two artifact sets, flags
 # per-op regressions and warns on per-label RSS growth.
 #
-# The memory-plane scale ladder (bench_fig8_1m_devices) runs its 10k and
-# 100k rungs by default; export SIMDC_BENCH_1M=1 to add the ~GB-scale
-# 1,000,000-device rung.
+# The memory-plane scale ladder (bench_fig8_1m_devices) runs all of its
+# rungs, up to 1,000,000 devices (about 467 MB peak resident).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -18,6 +18,10 @@
 #include "common/rng.h"
 #include "data/example.h"
 
+namespace simdc {
+class ThreadPool;
+}  // namespace simdc
+
 namespace simdc::data {
 
 /// How labels (and therefore per-device CTR) are distributed across devices.
@@ -51,7 +55,16 @@ struct SynthConfig {
   std::uint64_t seed = 42;
 };
 
-/// Generates a federated dataset per the config. Deterministic in `seed`.
+/// Generates a federated dataset per the config. Deterministic in `seed`:
+/// every device draws from its own stream, so the output is the same bits
+/// whatever the pool's width. Devices are generated on `pool` in two
+/// passes (record counts, then records), and only the calling thread
+/// allocates: it sizes every buffer, in device order, between the passes.
+FederatedDataset GenerateSyntheticAvazu(const SynthConfig& config,
+                                        ThreadPool& pool);
+
+/// As above, on a transient pool of up to hardware_concurrency() workers
+/// that is joined before the call returns.
 FederatedDataset GenerateSyntheticAvazu(const SynthConfig& config);
 
 /// Re-partitions all examples IID across the same number of devices

@@ -1,14 +1,43 @@
 // Unit tests for the synthetic Avazu-like dataset generator.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <set>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/schema.h"
 #include "data/sharding.h"
 #include "data/synth_avazu.h"
+
+namespace {
+
+/// Counts operator-new calls made while `g_watch_allocations` is set by any
+/// thread other than one that set `t_allocation_owner`.
+std::atomic<bool> g_watch_allocations{false};
+std::atomic<std::size_t> g_foreign_allocations{0};
+thread_local bool t_allocation_owner = false;
+
+}  // namespace
+
+// Kept out of line: once inlined, GCC pairs a new-expression with the
+// free() inside these and rejects it under -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_watch_allocations.load(std::memory_order_relaxed) &&
+      !t_allocation_owner) {
+    g_foreign_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace simdc::data {
 namespace {
@@ -100,6 +129,89 @@ TEST(SynthAvazuTest, OutputDigestIsPinned) {
     EXPECT_EQ(DatasetDigest(GenerateSyntheticAvazu(config)),
               kPinnedDigest[static_cast<int>(distribution)]);
   }
+}
+
+/// A shape of generator input and its DatasetDigest per LabelDistribution,
+/// pinned from the single-threaded generator.
+struct PinnedShape {
+  const char* name;
+  std::size_t num_devices;
+  std::size_t num_test_devices;
+  double records_per_device_mean;
+  std::uint32_t hash_dim;
+  std::uint64_t digest[3];
+};
+
+constexpr PinnedShape kPinnedShapes[] = {
+    {"small", 200, 20, 20, 1u << 14,
+     {kPinnedDigest[0], kPinnedDigest[1], kPinnedDigest[2]}},
+    // Fewer devices, test devices included, than one block of the pool.
+    {"under_one_block",
+     5,
+     3,
+     20,
+     1u << 14,
+     {17292090388138828600ull, 10617037362975930095ull,
+      7862512602486124493ull}},
+    {"no_test_devices",
+     200,
+     0,
+     20,
+     1u << 14,
+     {12600597962470541440ull, 1410889353698399744ull,
+      11964132498085791743ull}},
+    // A few devices with many records each.
+    {"few_heavy_devices",
+     200,
+     10,
+     400,
+     1u << 10,
+     {6294935445396501304ull, 3950146537827900887ull,
+      12454351125436141618ull}},
+};
+
+TEST(SynthAvazuTest, PoolWidthDoesNotChangeOutput) {
+  // Devices draw from their own streams and the calling thread sizes
+  // every buffer, so no pool width may change a bit of the output.
+  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(3),
+                        ThreadPool(8)};
+  for (const PinnedShape& shape : kPinnedShapes) {
+    for (const auto distribution :
+         {LabelDistribution::kIid, LabelDistribution::kNatural,
+          LabelDistribution::kPolarized}) {
+      auto config = SmallConfig();
+      config.num_devices = shape.num_devices;
+      config.num_test_devices = shape.num_test_devices;
+      config.records_per_device_mean = shape.records_per_device_mean;
+      config.hash_dim = shape.hash_dim;
+      config.distribution = distribution;
+      const std::uint64_t pinned =
+          shape.digest[static_cast<int>(distribution)];
+      SCOPED_TRACE(testing::Message() << shape.name << " distribution "
+                                      << static_cast<int>(distribution));
+      for (ThreadPool& pool : pools) {
+        SCOPED_TRACE(testing::Message() << "pool of " << pool.size());
+        EXPECT_EQ(DatasetDigest(GenerateSyntheticAvazu(config, pool)), pinned);
+      }
+      EXPECT_EQ(DatasetDigest(GenerateSyntheticAvazu(config)), pinned);
+    }
+  }
+}
+
+TEST(SynthAvazuTest, PoolThreadsDoNotAllocate) {
+  // Every buffer of the dataset comes from the calling thread; the pool's
+  // threads only draw records into them.
+  ThreadPool pool(4);
+  auto config = SmallConfig();
+  config.num_devices = 2000;
+  t_allocation_owner = true;
+  g_foreign_allocations.store(0);
+  g_watch_allocations.store(true);
+  const FederatedDataset dataset = GenerateSyntheticAvazu(config, pool);
+  g_watch_allocations.store(false);
+  t_allocation_owner = false;
+  EXPECT_EQ(g_foreign_allocations.load(), 0u);
+  EXPECT_EQ(dataset.devices.size(), config.num_devices);
 }
 
 TEST(SynthAvazuTest, DifferentSeedsDiffer) {
@@ -249,6 +361,15 @@ TEST(RepartitionIidTest, ShardsBecomeHomogeneous) {
     if (std::abs(rate - global) < 0.15) ++near_global;
   }
   EXPECT_GT(near_global, 85u);  // >85% of shards close to global
+}
+
+TEST(RepartitionIidTest, OutputDigestIsPinned) {
+  // Pins the repartitioned dataset, so moving examples out of the shuffled
+  // pool must give the shards the same records as copying them did.
+  auto config = SmallConfig();
+  config.distribution = LabelDistribution::kPolarized;
+  const auto iid = RepartitionIid(GenerateSyntheticAvazu(config), 99);
+  EXPECT_EQ(DatasetDigest(iid), 1071693058070321192ull);
 }
 
 // ---------- Shard partitioning ----------
